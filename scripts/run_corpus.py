@@ -12,7 +12,7 @@ from mvdelta import corpus, decide
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=65536)
+    parser.add_argument("--budget", type=int, default=decide.DEFAULT_PIECE_BUDGET)
     args = parser.parse_args()
 
     laws = corpus.decision_corpus()

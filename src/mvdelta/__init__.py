@@ -8,14 +8,13 @@ piecewise-linear functions), good-sequence round trips, desk-scale
 maximal-spectrum computations, and a CLI tying it together.
 """
 
-from .rationals import Q01, Rat, parse_q01
+from .rationals import Q01, parse_q01
 from .terms import Equation, Term, evaluate, expand, free_vars, parse, parse_equation, print_term
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Q01",
-    "Rat",
     "parse_q01",
     "Term",
     "Equation",

@@ -3,7 +3,9 @@
 A *carrier* bundles an element domain with the MV operations; the term
 evaluator and every higher-level routine talk to carriers through the
 small interface of :class:`Carrier` (zero, oplus, neg, equality, order,
-optional constants and eventually-constant delta).
+optional constants and eventually-constant delta).  The derived
+connectives odot, ominus, dist, join, meet and nfold are defined once
+for the whole package, on :class:`Carrier`, from oplus and neg.
 
 Provided here: the unit interval of exact rationals, finite Lukasiewicz
 chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
@@ -109,7 +111,8 @@ class Carrier(ABC):
         return self.neg(self.oplus(self.neg(x), self.neg(y)))
 
     def ominus(self, x, y):
-        return self.odot(x, self.neg(y))
+        # x odot neg(y), with the double negation cancelled.
+        return self.neg(self.oplus(self.neg(x), y))
 
     def dist(self, x, y):
         return self.oplus(self.ominus(x, y), self.ominus(y, x))
@@ -137,24 +140,6 @@ class Carrier(ABC):
         for _ in range(n):
             out = self.halve(out)
         return out
-
-    def apply(self, op: str, *args):
-        """Dispatch an operation by grammar name."""
-        table = {
-            "oplus": self.oplus,
-            "neg": self.neg,
-            "odot": self.odot,
-            "ominus": self.ominus,
-            "dist": self.dist,
-            "join": self.join,
-            "meet": self.meet,
-            "nfold": self.nfold,
-        }
-        try:
-            fn = table[op]
-        except KeyError:
-            raise ValueError(f"unknown operation {op!r}") from None
-        return fn(*args)
 
     # Finite-enumeration hooks.
 
@@ -436,20 +421,20 @@ CHANG = ChangAlgebra()
 
 
 def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
+    """Split on commas that are not nested inside parentheses or brackets."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
+                raise ValueError(f"unbalanced brackets in {text!r}")
         elif ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
+        raise ValueError(f"unbalanced brackets in {text!r}")
     last = text[start:]
     if last.strip() or parts:
         parts.append(last)
@@ -568,8 +553,9 @@ def radical(carrier: Carrier) -> Radical:
     """Radical ideal: intersection of maximal ideals.
 
     Finite carriers are computed exactly and cross-checked against the
-    bounded-multiple characterisation ``n*x <= neg(x) for all n``, which
-    stabilises within the carrier size.  Chang's algebra and the
+    bounded-multiple characterisation ``n*x <= neg(x) for all n``: zero
+    and the elements :func:`is_infinitesimal` accepts, whose multiples
+    stabilise within the carrier size.  Chang's algebra and the
     piecewise-linear carrier use closed forms.
     """
     if isinstance(carrier, ChangAlgebra):
@@ -587,10 +573,8 @@ def radical(carrier: Carrier) -> Radical:
         inter = frozenset(elems)
     bound = len(elems)
     by_multiples = frozenset(
-        x
-        for x in elems
-        if all(carrier.leq(carrier.nfold(n, x), carrier.neg(x)) for n in range(1, bound + 1))
-    )
+        x for x in elems if is_infinitesimal(carrier, x, bound=bound).verdict
+    ) | {carrier.zero()}
     if inter != by_multiples:
         raise AssertionError(
             f"radical cross-check failed on {carrier.spec}: "

@@ -24,7 +24,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import corpus, decide, goodseq, plfunc, spectrum, terms
@@ -32,6 +31,7 @@ from .carriers import (
     CarrierError,
     ChangAlgebra,
     FiniteChain,
+    _split_top_level,
     carrier_from_spec,
     halving_witness,
     is_infinitesimal,
@@ -40,7 +40,7 @@ from .carriers import (
 from .rationals import Q01
 from .terms import ParseError
 
-__all__ = ["Config", "main", "run"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -48,19 +48,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class Config:
-    piece_budget: int = 65536
-    sample_trials: int = 1000
-    seed: int = 0
-    dyadic_depth: int = 8
+def _int_at_least(low: int):
+    """An argparse ``type=`` that accepts integers >= low (bad values exit 2)."""
 
-    def __post_init__(self):
-        for name in ("piece_budget", "sample_trials", "dyadic_depth"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _print_counterexample(cx: decide.Counterexample, out):
@@ -72,28 +69,22 @@ def _print_counterexample(cx: decide.Counterexample, out):
 
 
 def _cmd_check(args, out) -> int:
-    config = Config(
-        piece_budget=args.budget,
-        sample_trials=args.trials,
-        seed=args.seed,
-        dyadic_depth=args.depth,
-    )
     eq = terms.parse_equation(args.equation)
     sampled = decide.sample_falsify(
         eq.lhs,
         eq.rhs,
         eq.relation,
-        trials=config.sample_trials,
-        seed=config.seed,
-        depth=config.dyadic_depth,
+        trials=args.trials,
+        seed=args.seed,
+        depth=args.depth,
     )
     if sampled is not None:
         _print_counterexample(sampled, out)
         return EXIT_FOUND
     if args.sample_only:
-        print(f"No violation in {config.sample_trials} samples (not a proof)", file=out)
+        print(f"No violation in {args.trials} samples (not a proof)", file=out)
         return EXIT_OK
-    verdict = decide.decide(eq.lhs, eq.rhs, eq.relation, budget=config.piece_budget)
+    verdict = decide.decide(eq.lhs, eq.rhs, eq.relation, budget=args.budget)
     if isinstance(verdict, decide.Valid):
         print("Valid", file=out)
         return EXIT_OK
@@ -108,19 +99,8 @@ def _parse_assignment(text: str, carrier) -> dict:
     assignment = {}
     if not text:
         return assignment
-    depth = 0
-    start = 0
-    chunks = []
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            chunks.append(text[start:i])
-            start = i + 1
-    chunks.append(text[start:])
-    for chunk in chunks:
+    # Whitespace-only text splits into no parts; it is one malformed chunk.
+    for chunk in _split_top_level(text) or [text]:
         name, sep, value = chunk.partition("=")
         if not sep:
             raise ValueError(f"assignment {chunk!r} is not of the form name=value")
@@ -283,21 +263,15 @@ def _cmd_radical(args, out) -> int:
     if args.element is None:
         return EXIT_OK
     x = carrier.parse_element(args.element)
+    cert = is_infinitesimal(carrier, x)
+    print(
+        f"infinitesimal({carrier.format_element(x)}): {cert.verdict} ({cert.reason})",
+        file=out,
+    )
     if isinstance(carrier, ChangAlgebra):
-        cert = is_infinitesimal(carrier, x)
         witness = halving_witness(x)
         witness_text = carrier.format_element(witness) if witness is not None else "none"
-        print(
-            f"infinitesimal({carrier.format_element(x)}): {cert.verdict} ({cert.reason})",
-            file=out,
-        )
         print(f"halving witness: {witness_text}", file=out)
-    else:
-        cert = is_infinitesimal(carrier, x)
-        print(
-            f"infinitesimal({carrier.format_element(x)}): {cert.verdict} ({cert.reason})",
-            file=out,
-        )
     return EXIT_OK if cert.verdict else EXIT_FOUND
 
 
@@ -311,10 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide an equation or inequality")
     p.add_argument("equation")
     p.add_argument("--sample-only", action="store_true")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=65536)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--budget", type=_int_at_least(1), default=decide.DEFAULT_PIECE_BUDGET)
+    p.add_argument("--depth", type=_int_at_least(1), default=8)
 
     p = sub.add_parser("eval", help="evaluate a term over a carrier")
     p.add_argument("term")

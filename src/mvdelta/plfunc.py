@@ -40,7 +40,6 @@ __all__ = [
     "pl_dist",
     "pl_join",
     "pl_meet",
-    "pl_op",
     "pl_nfold",
     "pl_delta",
     "pl_scale",
@@ -130,13 +129,7 @@ class PLFunc:
         x = Fraction(x)
         if x < 0 or x > 1:
             raise ValueError(f"argument {x} outside [0, 1]")
-        i = bisect_right(self._xs, x)
-        if i == len(self._xs):
-            return Q01(self.points[-1][1])
-        (x0, y0), (x1, y1) = self.points[i - 1], self.points[i]
-        if x == x0:
-            return Q01(y0)
-        return Q01(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+        return Q01(_raw_eval(self.points, self._xs, x))
 
     def max_value(self) -> Q01:
         return Q01(max(y for _, y in self.points))
@@ -233,60 +226,6 @@ def pl_neg(f: PLFunc) -> PLFunc:
 
 def pl_oplus(f: PLFunc, g: PLFunc) -> PLFunc:
     return PLFunc(_clip_above(_combine_raw([_raw(f), _raw(g)], [1, 1]), 1))
-
-
-def pl_odot(f: PLFunc, g: PLFunc) -> PLFunc:
-    return pl_neg(pl_oplus(pl_neg(f), pl_neg(g)))
-
-
-def pl_ominus(f: PLFunc, g: PLFunc) -> PLFunc:
-    return pl_neg(pl_oplus(pl_neg(f), g))
-
-
-def pl_dist(f: PLFunc, g: PLFunc) -> PLFunc:
-    return pl_oplus(pl_ominus(f, g), pl_ominus(g, f))
-
-
-def pl_join(f: PLFunc, g: PLFunc) -> PLFunc:
-    return pl_oplus(pl_neg(pl_oplus(pl_neg(f), g)), g)
-
-
-def pl_meet(f: PLFunc, g: PLFunc) -> PLFunc:
-    return pl_neg(pl_join(pl_neg(f), pl_neg(g)))
-
-
-_BINARY_OPS = {
-    "oplus": pl_oplus,
-    "odot": pl_odot,
-    "ominus": pl_ominus,
-    "dist": pl_dist,
-    "join": pl_join,
-    "meet": pl_meet,
-}
-
-
-def pl_op(name: str, f: PLFunc, g: PLFunc | None = None) -> PLFunc:
-    """Apply a pointwise operation by grammar name (neg is unary)."""
-    if name == "neg":
-        if g is not None:
-            raise ValueError("neg takes one argument")
-        return pl_neg(f)
-    try:
-        fn = _BINARY_OPS[name]
-    except KeyError:
-        raise ValueError(f"unknown pointwise operation {name!r}") from None
-    if g is None:
-        raise ValueError(f"{name} takes two arguments")
-    return fn(f, g)
-
-
-def pl_nfold(n: int, f: PLFunc) -> PLFunc:
-    if n < 1:
-        raise ValueError(f"nfold requires n >= 1, got {n}")
-    out = f
-    for _ in range(n - 1):
-        out = pl_oplus(out, f)
-    return out
 
 
 def pl_delta(prefix, tail: PLFunc) -> PLFunc:
@@ -523,3 +462,11 @@ class PLCarrier(Carrier):
 
 
 PL_CARRIER = PLCarrier()
+
+# The derived pointwise operations are the carrier's inherited connectives.
+pl_odot = PL_CARRIER.odot
+pl_ominus = PL_CARRIER.ominus
+pl_dist = PL_CARRIER.dist
+pl_join = PL_CARRIER.join
+pl_meet = PL_CARRIER.meet
+pl_nfold = PL_CARRIER.nfold

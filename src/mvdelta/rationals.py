@@ -1,9 +1,9 @@
-"""Exact rational arithmetic on the unit interval.
+"""Canonical rationals in the unit interval and their literal syntax.
 
-The unit interval [0, 1] carries the standard MV-algebra structure:
-truncated addition ``oplus(x, y) = min(x + y, 1)`` and the involution
-``neg(x) = 1 - x``.  Everything in this module is a pure function on
-canonical rationals; there is no floating point anywhere.
+:class:`Q01` is an exact rational constrained to [0, 1]; there is no
+floating point anywhere.  The MV operations on these values live on
+:data:`mvdelta.carriers.Q01_CARRIER`, the carrier of the standard
+MV-algebra.
 
 Rational literals are written ``p/q`` (no whitespace) with the integer
 shorthands ``0`` and ``1``; ``str()`` of a :class:`Q01` produces exactly
@@ -15,26 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = [
-    "Q01",
-    "Rat",
-    "ZERO",
-    "ONE",
-    "parse_q01",
-    "oplus",
-    "neg",
-    "odot",
-    "ominus",
-    "dist",
-    "join",
-    "meet",
-    "derived",
-    "nfold",
-    "scale",
-]
-
-#: Signed exact rational, used for l-group and affine-form computations.
-Rat = Fraction
+__all__ = ["Q01", "ZERO", "ONE", "parse_q01"]
 
 
 class Q01(Fraction):
@@ -42,7 +23,7 @@ class Q01(Fraction):
 
     Subclasses :class:`fractions.Fraction`, so comparisons, hashing and
     arithmetic behave as usual (mixed arithmetic returns plain
-    ``Fraction``; only the MV operations below re-wrap results).
+    ``Fraction``; only the carrier operations re-wrap results).
     """
 
     __slots__ = ()
@@ -70,66 +51,3 @@ def parse_q01(text: str) -> Q01:
     if den == 0:
         raise ValueError(f"zero denominator in rational literal {text!r}")
     return Q01(num, den)
-
-
-def oplus(x: Q01, y: Q01) -> Q01:
-    """Truncated addition min(x + y, 1)."""
-    return Q01(min(x + y, 1))
-
-
-def neg(x: Q01) -> Q01:
-    """Involution 1 - x."""
-    return Q01(1 - x)
-
-
-def odot(x: Q01, y: Q01) -> Q01:
-    """De Morgan dual of oplus: neg(neg(x) oplus neg(y))."""
-    return neg(oplus(neg(x), neg(y)))
-
-
-def ominus(x: Q01, y: Q01) -> Q01:
-    """Truncated subtraction x odot neg(y), i.e. max(x - y, 0)."""
-    return odot(x, neg(y))
-
-
-def dist(x: Q01, y: Q01) -> Q01:
-    """Chang distance (x ominus y) oplus (y ominus x); equals |x - y| here."""
-    return oplus(ominus(x, y), ominus(y, x))
-
-
-def join(x: Q01, y: Q01) -> Q01:
-    """Lattice join neg(neg(x) oplus y) oplus y; equals max(x, y) here."""
-    return oplus(neg(oplus(neg(x), y)), y)
-
-
-def meet(x: Q01, y: Q01) -> Q01:
-    """Lattice meet, De Morgan dual of join; equals min(x, y) here."""
-    return neg(join(neg(x), neg(y)))
-
-
-_DERIVED = {"odot": odot, "ominus": ominus, "dist": dist, "join": join, "meet": meet}
-
-
-def derived(op: str, x: Q01, y: Q01) -> Q01:
-    """Apply a named derived connective (odot, ominus, dist, join, meet)."""
-    try:
-        fn = _DERIVED[op]
-    except KeyError:
-        raise ValueError(f"unknown derived connective {op!r}") from None
-    return fn(x, y)
-
-
-def nfold(n: int, x: Q01) -> Q01:
-    """Iterated sum x oplus ... oplus x (n times), i.e. min(n*x, 1)."""
-    if n < 1:
-        raise ValueError(f"nfold requires n >= 1, got {n}")
-    return Q01(min(n * x, 1))
-
-
-def scale(r: Q01, x: Q01) -> Q01:
-    """Exact product r*x.  Total on Q01 x Q01: the product never leaves [0, 1].
-
-    Scalars outside [0, 1] are rejected by the Q01 type itself; there is
-    deliberately no clamping fallback.
-    """
-    return Q01(r * x)

@@ -4,12 +4,10 @@ topology of a finite algebra, and the evaluation/point-kernel maps.
 For a finite carrier every maximal ideal induces a quotient that is a
 finite totally ordered simple algebra, and that quotient embeds into
 the rational unit interval in exactly one way (rank / size); composing
-gives the unique homomorphism attached to the ideal.  A brute-force
-search over candidate value tables is kept alongside as an independent
-oracle.  Chang's algebra is handled by its closed form (one maximal
-ideal, the infinitesimals), and point-evaluation/precomposition
-homomorphisms of the function carrier support the delta-preservation
-checks.
+gives the unique homomorphism attached to the ideal.  Chang's algebra
+is handled by its closed form (one maximal ideal, the infinitesimals),
+and point-evaluation/precomposition homomorphisms of the function
+carrier support the delta-preservation checks.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "Hom",
     "holder_hom",
     "enumerate_homs",
-    "brute_force_homs",
     "v_of",
     "SpectrumResult",
     "spectrum",
@@ -138,62 +135,6 @@ def enumerate_homs(carrier: Carrier) -> list[Hom]:
     """All homomorphisms of a finite carrier into [0,1], one per maximal ideal."""
     homs = [holder_hom(carrier, m) for m in maximal_ideals(carrier)]
     return sorted(homs, key=lambda h: _hom_sort_key(carrier, h))
-
-
-def brute_force_homs(carrier: Carrier) -> list[Hom]:
-    """Independent search for all homomorphisms into [0,1].
-
-    The image of a finite carrier is a finite subalgebra of the unit
-    interval, i.e. some chain {0, 1/m, ..., 1}; try every m and extend
-    partial value tables with forced-value propagation.
-    """
-    elems = carrier.elements()
-    n = len(elems)
-    if n == 1:
-        return []
-    found: dict[tuple, Hom] = {}
-
-    def propagate(table: dict, m: int) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for x in list(table):
-                nx = carrier.neg(x)
-                want = Q01(1 - table[x])
-                if table.get(nx, want) != want:
-                    return False
-                if nx not in table:
-                    table[nx] = want
-                    changed = True
-                for y in list(table):
-                    z = carrier.oplus(x, y)
-                    want = Q01(min(table[x] + table[y], 1))
-                    if table.get(z, want) != want:
-                        return False
-                    if z not in table:
-                        table[z] = want
-                        changed = True
-        return True
-
-    def search(table: dict, m: int):
-        missing = [x for x in elems if x not in table]
-        if not missing:
-            if _verify_hom(carrier, table):
-                key = tuple(table[x] for x in elems)
-                found.setdefault(key, Hom(carrier, dict(table)))
-            return
-        x = missing[0]
-        for k in range(m + 1):
-            trial = dict(table)
-            trial[x] = Q01(k, m)
-            if propagate(trial, m):
-                search(trial, m)
-
-    for m in range(1, n):
-        base = {carrier.zero(): Q01(0)}
-        if propagate(base, m):
-            search(base, m)
-    return sorted(found.values(), key=lambda h: _hom_sort_key(carrier, h))
 
 
 def v_of(carrier: Carrier, subset) -> list[frozenset]:

@@ -40,7 +40,6 @@ from mvdelta.plfunc import (
 )
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import (
-    brute_force_homs,
     chang_eta,
     delta_preserved,
     enumerate_homs,
@@ -50,6 +49,7 @@ from mvdelta.spectrum import (
     point_evaluation_hom,
     precompose_hom,
 )
+from oracles import brute_force_homs
 
 FINITE_TEST_ALGEBRAS = [
     FiniteChain(1),

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from mvdelta.cli import run
 from mvdelta.plfunc import from_json, pl_scale, pl_tent, save_plfunc, uniform_dist
 from mvdelta.rationals import Q01
@@ -62,6 +64,15 @@ def test_check_parse_error_exit_code():
     assert code == 2
     code, _ = invoke("nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--trials", "0"), ("--budget", "0"), ("--depth", "0"), ("--depth", "-1"), ("--seed", "-1")],
+)
+def test_check_rejects_out_of_range_options(flag, value):
+    code, text = invoke("check", "x = x", flag, value)
+    assert code == 2 and text == ""
 
 
 def test_eval_on_each_carrier():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mvdelta import corpus, terms
+from mvdelta.carriers import Q01_CARRIER, carrier_from_spec
 from mvdelta.plfunc import (
     PL_CARRIER,
     IsbellHypothesisError,
@@ -25,7 +26,6 @@ from mvdelta.plfunc import (
     pl_nfold,
     pl_odot,
     pl_ominus,
-    pl_op,
     pl_oplus,
     pl_precompose,
     pl_scale,
@@ -79,36 +79,28 @@ def test_pointwise_op_examples():
     assert pl_oplus(ident, ident) == F((0, 0), (Fraction(1, 2), 1), (1, 1))
     assert pl_neg(ident) == F((0, 1), (1, 0))
     assert pl_dist(ident, pl_const(0)) == ident
-    assert pl_op("neg", ident) == pl_neg(ident)
-    assert pl_op("join", ident, pl_neg(ident)) == F(
+    assert getattr(PL_CARRIER, "neg")(ident) == pl_neg(ident)
+    assert getattr(PL_CARRIER, "join")(ident, pl_neg(ident)) == F(
         (0, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 1)
     )
-    assert pl_op("meet", ident, pl_neg(ident)) == F(
+    assert getattr(PL_CARRIER, "meet")(ident, pl_neg(ident)) == F(
         (0, 0), (Fraction(1, 2), Fraction(1, 2)), (1, 0)
     )
-    with pytest.raises(ValueError):
-        pl_op("exp", ident, ident)
 
 
 def test_pointwise_ops_agree_with_rational_ops(grid4):
     rng = random.Random(4)
-    from mvdelta.rationals import derived, neg as qneg, oplus as qoplus
-
     for _ in range(25):
         f = random_plfunc(rng)
         g = random_plfunc(rng)
         for name in ("oplus", "odot", "ominus", "dist", "join", "meet"):
-            h = pl_op(name, f, g)
+            h = getattr(PL_CARRIER, name)(f, g)
             for x in grid4:
-                want = (
-                    qoplus(f.eval_at(x), g.eval_at(x))
-                    if name == "oplus"
-                    else derived(name, f.eval_at(x), g.eval_at(x))
-                )
+                want = getattr(Q01_CARRIER, name)(f.eval_at(x), g.eval_at(x))
                 assert h.eval_at(x) == want, (name, x)
         nf = pl_neg(f)
         for x in grid4:
-            assert nf.eval_at(x) == qneg(f.eval_at(x))
+            assert nf.eval_at(x) == Q01_CARRIER.neg(f.eval_at(x))
 
 
 def test_delta_examples():
@@ -307,6 +299,9 @@ def test_carrier_interface():
     assert PL_CARRIER.const(Q01(1, 3)) == pl_const(Fraction(1, 3))
     assert PL_CARRIER.parse_element("1/3") == pl_const(Fraction(1, 3))
     assert PL_CARRIER.parse_element('[["0","0"],["1","1"]]') == pl_identity()
+    # Commas inside a breakpoint list do not split a product element.
+    both = carrier_from_spec("prod(pl,chain:2)")
+    assert both.parse_element('([["0","0"],["1","1"]], 1/2)') == (pl_identity(), 1)
     text = PL_CARRIER.format_element(pl_tent())
     assert json.loads(text) == to_json(pl_tent())
 

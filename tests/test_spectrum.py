@@ -16,7 +16,6 @@ from mvdelta.carriers import (
 from mvdelta.plfunc import PL_CARRIER, pl_precompose, random_fnseq, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import (
-    brute_force_homs,
     chang_eta,
     delta_preserved,
     enumerate_homs,
@@ -30,6 +29,7 @@ from mvdelta.spectrum import (
     spectrum,
     v_of,
 )
+from oracles import brute_force_homs
 
 L23 = ProductAlg((FiniteChain(2), FiniteChain(3)))
 

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvdelta.carriers import Q01_CARRIER, FiniteChain, DeltaUnsupported
-from mvdelta.rationals import Q01, ZERO, ONE, oplus, scale
+from mvdelta.rationals import Q01, ZERO, ONE
 from mvdelta.terms import (
     Const,
     Delta,
@@ -181,8 +181,8 @@ def test_no_truncation_for_eventually_constant_delta(grid3):
             for c in grid3:
                 by_sum = Q01(a / 2 + b / 4 + c / 4)
                 folded = ZERO
-                folded = oplus(folded, scale(Q01(1, 2), a))
-                folded = oplus(folded, scale(Q01(1, 4), b))
-                folded = oplus(folded, scale(Q01(1, 4), c))
+                folded = Q01_CARRIER.oplus(folded, Q01(a / 2))
+                folded = Q01_CARRIER.oplus(folded, Q01(b / 4))
+                folded = Q01_CARRIER.oplus(folded, Q01(c / 4))
                 via_delta = Q01_CARRIER.delta([a, b], c)
                 assert by_sum == folded == via_delta
