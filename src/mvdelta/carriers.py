@@ -11,6 +11,11 @@ Provided here: the unit interval of exact rationals, finite Lukasiewicz
 chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
 algebra, realised as the unit interval of the lexicographic group Z x Z
 with unit (1, 0).  Elements (0, k) with k >= 1 are the infinitesimals.
+
+A finite carrier is tabulated once per instance (:class:`FiniteTables`,
+``carrier.tables``): its elements are numbered and its own oplus, neg
+and order are read into integer tables, on which ideals, the radical
+and the infinitesimal test run.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rationals import Q01, ZERO, parse_q01
 
@@ -28,6 +34,7 @@ __all__ = [
     "DeltaUnsupported",
     "ConstUnsupported",
     "Carrier",
+    "FiniteTables",
     "UnitInterval",
     "FiniteChain",
     "ProductAlg",
@@ -148,6 +155,11 @@ class Carrier(ABC):
 
     def elements(self) -> list:
         raise CarrierError(f"carrier {self.spec} is not enumerable")
+
+    @cached_property
+    def tables(self) -> FiniteTables:
+        """Integer operation tables, built on first use and kept by this instance."""
+        return FiniteTables(self)
 
     # Element text I/O for reports and the CLI.
 
@@ -472,35 +484,75 @@ def carrier_from_spec(spec: str) -> Carrier:
 # --- Ideals, radical, infinitesimals ---------------------------------------
 
 
+class FiniteTables:
+    """A finite carrier tabulated on the integers 0..|A|-1.
+
+    Element ``i`` is ``elements[i]``, in the order of ``carrier.elements()``.
+    ``oplus[i][j]``, ``neg[i]`` and ``leq[i][j]`` are read off the
+    carrier's own operations (|A|^2 calls each of oplus and leq), so every
+    check run on the tables still tests those operations.  ``below[i]``
+    is the down-set of ``i``, a column of ``leq``.  ``ideals`` holds the
+    verified ideal list once :func:`enumerate_ideals` has computed it.
+    """
+
+    def __init__(self, carrier: Carrier):
+        elems = carrier.elements()
+        index = {x: i for i, x in enumerate(elems)}
+        size = range(len(elems))
+        self.elements = elems
+        self.index = index
+        oplus, leq = carrier.oplus, carrier.leq
+        self.zero = index[carrier.zero()]
+        self.neg = [index[carrier.neg(x)] for x in elems]
+        self.oplus = [[index[oplus(x, y)] for y in elems] for x in elems]
+        self.leq = [[leq(x, y) for y in elems] for x in elems]
+        self.below = [frozenset(j for j in size if self.leq[j][i]) for i in size]
+        self.ideals: list[frozenset] | None = None
+
+    def subset(self, positions) -> frozenset:
+        return frozenset(map(self.elements.__getitem__, positions))
+
+    def ominus(self, i: int, j: int) -> int:
+        return self.neg[self.oplus[self.neg[i]][j]]
+
+    def dist(self, i: int, j: int) -> int:
+        return self.oplus[self.ominus(i, j)][self.ominus(j, i)]
+
+    def is_ideal(self, s: frozenset[int]) -> bool:
+        """Contains 0, is down-closed and is closed under oplus."""
+        if self.zero not in s:
+            return False
+        oplus, below = self.oplus, self.below
+        return all(below[i] <= s and s.issuperset(map(oplus[i].__getitem__, s)) for i in s)
+
+    def principal_ideal(self, a: int) -> frozenset[int]:
+        """Down-set of the value at which the sums a, 2a, 3a, ... settle."""
+        s = a
+        while (t := self.oplus[s][a]) != s:
+            s = t
+        return self.below[s]
+
+
+def _position(carrier: Carrier, x) -> int:
+    """Index of x in the carrier's tables.  The carrier's own order check
+    runs first, so a non-element raises what the carrier raises
+    (CarrierMismatch for chains and products)."""
+    carrier.leq(x, x)
+    return carrier.tables.index[x]
+
+
 def is_ideal(carrier: Carrier, subset: frozenset) -> bool:
     """Exact check of the three defining closure properties."""
-    elems = carrier.elements()
+    tables = carrier.tables
     if carrier.zero() not in subset:
         return False
-    for x in subset:
-        for y in elems:
-            if carrier.leq(y, x) and y not in subset:
-                return False
-        for y in subset:
-            if carrier.oplus(x, y) not in subset:
-                return False
-    return True
-
-
-def _stable_multiple(carrier: Carrier, a):
-    """The eventually constant value of the iterated sums a, 2a, 3a, ..."""
-    s = a
-    while True:
-        t = carrier.oplus(s, a)
-        if carrier.eq(t, s):
-            return s
-        s = t
+    return tables.is_ideal(frozenset(_position(carrier, x) for x in subset))
 
 
 def principal_ideal(carrier: Carrier, a) -> frozenset:
     """Smallest ideal containing a: the down-set of the stable multiple of a."""
-    top = _stable_multiple(carrier, a)
-    return frozenset(x for x in carrier.elements() if carrier.leq(x, top))
+    tables = carrier.tables
+    return tables.subset(tables.principal_ideal(_position(carrier, a)))
 
 
 def enumerate_ideals(carrier: Carrier) -> list[frozenset]:
@@ -508,20 +560,26 @@ def enumerate_ideals(carrier: Carrier) -> list[frozenset]:
 
     In a finite MV-algebra every ideal is the down-set of the stable
     multiple of one of its elements, so ranging over principal ideals is
-    exhaustive.
+    exhaustive.  The list is computed once per carrier instance and kept
+    in its tables.
     """
     if not carrier.is_finite():
         raise CarrierError(f"ideal enumeration needs a finite carrier, not {carrier.spec}")
-    seen = {principal_ideal(carrier, a) for a in carrier.elements()}
-    for ideal in seen:
-        if not is_ideal(carrier, ideal):
-            raise AssertionError(f"generated set is not an ideal on {carrier.spec}")
-    return sorted(seen, key=lambda s: (len(s), sorted(map(repr, s))))
+    tables = carrier.tables
+    if tables.ideals is None:
+        seen = {tables.principal_ideal(a) for a in range(len(tables.elements))}
+        for ideal in seen:
+            if not tables.is_ideal(ideal):
+                raise AssertionError(f"generated set is not an ideal on {carrier.spec}")
+        tables.ideals = sorted(
+            map(tables.subset, seen), key=lambda s: (len(s), sorted(map(repr, s)))
+        )
+    return list(tables.ideals)
 
 
 def maximal_ideals(carrier: Carrier) -> list[frozenset]:
     ideals = enumerate_ideals(carrier)
-    size = len(carrier.elements())
+    size = len(carrier.tables.elements)
     proper = [i for i in ideals if len(i) < size]
     return [
         i
@@ -565,7 +623,7 @@ def radical(carrier: Carrier) -> Radical:
     if not carrier.is_finite():
         raise CarrierError(f"no radical computation for carrier {carrier.spec}")
     maxes = maximal_ideals(carrier)
-    elems = carrier.elements()
+    elems = carrier.tables.elements
     if maxes:
         inter = frozenset(elems).intersection(*maxes)
     else:
@@ -608,17 +666,18 @@ def is_infinitesimal(carrier: Carrier, x, bound: int | None = None) -> Infinites
         return InfinitesimalCertificate(False, "x exceeds neg(x) already at n = 1", failing_n=1)
     if not carrier.is_finite():
         raise CarrierError(f"no exact infinitesimal test for carrier {carrier.spec}")
-    if carrier.eq(x, carrier.zero()):
+    tables = carrier.tables
+    i = _position(carrier, x)
+    if i == tables.zero:
         return InfinitesimalCertificate(False, "zero is not infinitesimal")
-    limit = bound if bound is not None else len(carrier.elements())
-    negx = carrier.neg(x)
-    s = x
+    limit = bound if bound is not None else len(tables.elements)
+    negx, s = tables.neg[i], i
     for n in range(1, limit + 1):
-        if not carrier.leq(s, negx):
+        if not tables.leq[s][negx]:
             return InfinitesimalCertificate(
                 False, f"{n}-fold sum exceeds neg(x)", failing_n=n
             )
-        s = carrier.oplus(s, x)
+        s = tables.oplus[s][i]
     return InfinitesimalCertificate(
         True, f"multiples stabilise below neg(x) within the carrier bound {limit}"
     )

@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run the axiom suite on random carrier elements")
     p.add_argument("--carrier", default="pl")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("spectrum", help="maximal ideals, homs, Stone topology")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from random import Random
 
 from .carriers import Carrier
-from .rationals import Q01
+from .rationals import Q01, parse_q01
 
 __all__ = [
     "PLFunc",
@@ -458,7 +458,7 @@ class PLCarrier(Carrier):
         text = text.strip()
         if text.startswith("["):
             return from_json(json.loads(text))
-        return pl_const(Q01(Fraction(text)))
+        return pl_const(parse_q01(text))
 
 
 PL_CARRIER = PLCarrier()

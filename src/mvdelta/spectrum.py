@@ -4,8 +4,11 @@ topology of a finite algebra, and the evaluation/point-kernel maps.
 For a finite carrier every maximal ideal induces a quotient that is a
 finite totally ordered simple algebra, and that quotient embeds into
 the rational unit interval in exactly one way (rank / size); composing
-gives the unique homomorphism attached to the ideal.  Chang's algebra
-is handled by its closed form (one maximal ideal, the infinitesimals),
+gives the unique homomorphism attached to the ideal.  The classes,
+their order and the homomorphism check run on the carrier's integer
+operation tables (:class:`mvdelta.carriers.FiniteTables`), the check
+in numerators over the common denominator m.  Chang's algebra is
+handled by its closed form (one maximal ideal, the infinitesimals),
 and point-evaluation/precomposition homomorphisms of the function
 carrier support the delta-preservation checks.
 """
@@ -21,6 +24,7 @@ from .carriers import (
     CarrierError,
     ChangElem,
     FiniteChain,
+    FiniteTables,
     ProductAlg,
     enumerate_ideals,
     maximal_ideals,
@@ -66,15 +70,18 @@ class Hom:
         return frozenset(self.table.values())
 
 
-def _verify_hom(carrier: Carrier, table: dict) -> bool:
-    elems = carrier.elements()
-    if table[carrier.zero()] != 0:
+def _is_rank_hom(tables: FiniteTables, rank: list[int], m: int) -> bool:
+    """Whether x -> rank[x] / m is a homomorphism into [0,1], checked on
+    numerators: rank[0] = 0, rank[neg x] = m - rank[x] and
+    rank[x oplus y] = min(rank[x] + rank[y], m) for all x, y."""
+    if rank[tables.zero] != 0:
         return False
-    for x in elems:
-        if table[carrier.neg(x)] != Q01(1 - table[x]):
+    for x, rx in enumerate(rank):
+        if rank[tables.neg[x]] != m - rx:
             return False
-        for y in elems:
-            if table[carrier.oplus(x, y)] != Q01(min(table[x] + table[y], 1)):
+        row = tables.oplus[x]
+        for y, ry in enumerate(rank):
+            if rank[row[y]] != min(rx + ry, m):
                 return False
     return True
 
@@ -86,11 +93,12 @@ def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
     rank r of m+1 classes to r/m is the one embedding into [0,1].  The
     construction is verified exactly before returning.
     """
-    elems = carrier.elements()
-    classes: list[list] = []
-    for x in elems:
+    tables = carrier.tables
+    members = {i for i, x in enumerate(tables.elements) if x in ideal}
+    classes: list[list[int]] = []
+    for x in range(len(tables.elements)):
         for cls in classes:
-            if carrier.dist(x, cls[0]) in ideal:
+            if tables.dist(x, cls[0]) in members:
                 cls.append(x)
                 break
         else:
@@ -98,9 +106,9 @@ def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
 
     def class_leq(c1, c2) -> bool:
         # x/I <= y/I iff (x ominus y) falls in the ideal
-        return carrier.ominus(c1[0], c2[0]) in ideal
+        return tables.ominus(c1[0], c2[0]) in members
 
-    ordered: list[list] = []
+    ordered: list[list[int]] = []
     for cls in classes:
         at = len(ordered)
         for i, other in enumerate(ordered):
@@ -115,12 +123,14 @@ def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
     m = len(ordered) - 1
     if m == 0:
         raise CarrierError("ideal is not proper; quotient is trivial")
-    table = {}
-    for rank, cls in enumerate(ordered):
+    rank = [0] * len(tables.elements)
+    for r, cls in enumerate(ordered):
         for x in cls:
-            table[x] = Q01(rank, m)
-    if not _verify_hom(carrier, table):
+            rank[x] = r
+    if not _is_rank_hom(tables, rank, m):
         raise AssertionError("rank map failed the homomorphism check")
+    values = [Q01(r, m) for r in range(m + 1)]
+    table = {tables.elements[x]: values[r] for r, cls in enumerate(ordered) for x in cls}
     hom = Hom(carrier, table)
     if hom.kernel() != ideal:
         raise AssertionError("kernel of the rank map differs from the ideal")
@@ -163,7 +173,7 @@ def spectrum(carrier: Carrier) -> SpectrumResult:
         return tuple(i for i, m in enumerate(maxes) if subset <= m)
 
     closed = sorted({v_indices(ideal) for ideal in enumerate_ideals(carrier)})
-    basis = sorted({v_indices([a]) for a in carrier.elements()})
+    basis = sorted({v_indices([a]) for a in carrier.tables.elements})
     return SpectrumResult(carrier, tuple(maxes), tuple(homs), tuple(closed), tuple(basis))
 
 
@@ -180,7 +190,7 @@ class EtaReport:
 
 
 def eta(carrier: Carrier) -> EtaReport:
-    elems = carrier.elements()
+    elems = carrier.tables.elements
     homs = enumerate_homs(carrier)
     values = {a: tuple(h.table[a] for h in homs) for a in elems}
     injective = len(set(values.values())) == len(elems)
@@ -226,7 +236,7 @@ def epsilon_finite(factors) -> EpsilonReport:
     maxes = maximal_ideals(algebra)
     kernels = []
     for i in range(len(factors)):
-        kernels.append(frozenset(t for t in algebra.elements() if t[i] == 0))
+        kernels.append(frozenset(t for t in algebra.tables.elements if t[i] == 0))
     distinct = len(set(kernels)) == len(kernels)
     onto = set(kernels) == set(maxes)
     return EpsilonReport(tuple(range(len(factors))), tuple(kernels), distinct and onto)

@@ -5,9 +5,42 @@ what the library constructs, so a disagreement points at a fault in
 one of the two.
 """
 
+import itertools
+
 from mvdelta.carriers import Carrier
 from mvdelta.rationals import Q01
-from mvdelta.spectrum import Hom, _hom_sort_key, _verify_hom
+from mvdelta.spectrum import Hom, _hom_sort_key
+
+
+def brute_force_ideals(carrier: Carrier) -> list[frozenset]:
+    """Every subset that contains zero, is down-closed and is closed
+    under oplus, tested with the carrier's own operations."""
+    elems = carrier.elements()
+    found = []
+    for size in range(1, len(elems) + 1):
+        for combo in itertools.combinations(elems, size):
+            subset = frozenset(combo)
+            if carrier.zero() not in subset:
+                continue
+            if any(carrier.leq(y, x) and y not in subset for x in subset for y in elems):
+                continue
+            if any(carrier.oplus(x, y) not in subset for x in subset for y in subset):
+                continue
+            found.append(subset)
+    return found
+
+
+def _verify_hom(carrier: Carrier, table: dict) -> bool:
+    elems = carrier.elements()
+    if table[carrier.zero()] != 0:
+        return False
+    for x in elems:
+        if table[carrier.neg(x)] != Q01(1 - table[x]):
+            return False
+        for y in elems:
+            if table[carrier.oplus(x, y)] != Q01(min(table[x] + table[y], 1)):
+                return False
+    return True
 
 
 def brute_force_homs(carrier: Carrier) -> list[Hom]:

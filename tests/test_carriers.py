@@ -22,6 +22,17 @@ from mvdelta.carriers import (
 )
 from mvdelta.rationals import Q01
 from mvdelta.terms import evaluate, free_vars
+from oracles import brute_force_ideals
+
+# Every product of chains with at most 8 elements, up to the trivial chain.
+SMALL_FINITE_SPECS = [f"chain:{n}" for n in range(1, 8)] + [
+    "prod(chain:1,chain:1)",
+    "prod(chain:1,chain:2)",
+    "prod(chain:2,chain:1)",
+    "prod(chain:1,chain:3)",
+    "prod(chain:3,chain:1)",
+    "prod(chain:1,chain:1,chain:1)",
+]
 
 
 def test_chain_operations():
@@ -110,6 +121,33 @@ def test_ideals_of_products_are_factor_products():
     assert len(maxes) == 2
     assert frozenset(t for t in p23.elements() if t[0] == 0) in maxes
     assert frozenset(t for t in p23.elements() if t[1] == 0) in maxes
+
+
+@pytest.mark.parametrize("spec", SMALL_FINITE_SPECS)
+def test_ideals_agree_with_subset_search(spec):
+    K = carrier_from_spec(spec)
+    expected = brute_force_ideals(K)
+    ideals = enumerate_ideals(K)
+    assert len(ideals) == len(expected) and set(ideals) == set(expected)
+    proper = [i for i in expected if len(i) < len(K.elements())]
+    expected_max = {i for i in proper if not any(i < j for j in proper)}
+    maxes = maximal_ideals(K)
+    assert len(maxes) == len(expected_max) and set(maxes) == expected_max
+    assert radical(K).elements == frozenset(K.elements()).intersection(*expected_max)
+
+
+def test_is_ideal_rejects_foreign_elements():
+    with pytest.raises(CarrierMismatch):
+        is_ideal(FiniteChain(2), frozenset({0, 7}))
+    with pytest.raises(CarrierMismatch):
+        is_ideal(ProductAlg((FiniteChain(2), FiniteChain(3))), frozenset({(0, 0), (0, 4)}))
+    # Without zero the answer is False before any element is looked up.
+    assert not is_ideal(FiniteChain(2), frozenset({1, 7}))
+    # Values that hash like elements are still not elements.
+    with pytest.raises(CarrierMismatch):
+        is_infinitesimal(FiniteChain(2), True)
+    with pytest.raises(CarrierMismatch):
+        principal_ideal(ProductAlg((FiniteChain(2), FiniteChain(3))), (1.0, 0))
 
 
 def test_principal_ideal_generation():
@@ -253,6 +291,9 @@ def test_ideal_enumeration_requires_finite():
         enumerate_ideals(CHANG)
     with pytest.raises(CarrierError):
         enumerate_ideals(Q01_CARRIER)
+    # The multiples of an infinitesimal never settle; refuse instead of looping.
+    with pytest.raises(CarrierError):
+        principal_ideal(CHANG, ChangElem(0, 1))
 
 
 def test_generic_operation_dispatch():

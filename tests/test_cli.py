@@ -75,6 +75,12 @@ def test_check_rejects_out_of_range_options(flag, value):
     assert code == 2 and text == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_axioms_rejects_nonpositive_trials(value):
+    code, text = invoke("axioms", "--carrier", "q01", "--trials", value)
+    assert code == 2 and text == ""
+
+
 def test_eval_on_each_carrier():
     code, text = invoke(
         "eval", "oplus(x, y)", "--carrier", "chang", "--assign", "x=(0,2),y=(1,-5)"
@@ -99,6 +105,13 @@ def test_eval_on_each_carrier():
     assert code == 0 and json.loads(text) == [["0", "0"], ["1", "1/2"]]
     code, text = invoke("eval", "dist(1/3, 3/4)", "--carrier", "q01")
     assert code == 0 and text.strip() == "5/12"
+
+
+def test_eval_pl_literal_uses_rational_syntax():
+    code, text = invoke("eval", "x", "--carrier", "pl", "--assign", "x=1/2")
+    assert code == 0 and json.loads(text) == [["0", "1/2"], ["1", "1/2"]]
+    code, text = invoke("eval", "x", "--carrier", "pl", "--assign", "x=0.5")
+    assert code == 2 and text == ""
 
 
 def test_eval_unsupported_delta_is_an_error():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvdelta import carriers
 from mvdelta.carriers import (
     CHANG,
     CarrierError,
@@ -10,12 +11,14 @@ from mvdelta.carriers import (
     FiniteChain,
     ProductAlg,
     Q01_CARRIER,
+    carrier_from_spec,
     maximal_ideals,
     radical,
 )
 from mvdelta.plfunc import PL_CARRIER, pl_precompose, random_fnseq, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import (
+    _is_rank_hom,
     chang_eta,
     delta_preserved,
     enumerate_homs,
@@ -92,6 +95,56 @@ def test_holder_hom_rejects_improper_ideal():
     K = FiniteChain(2)
     with pytest.raises(CarrierError):
         holder_hom(K, frozenset(K.elements()))
+
+
+def test_rank_check_rejects_swapped_ranks():
+    for K in (FiniteChain(4), L23):
+        tables = K.tables
+        for h in enumerate_homs(K):
+            m = len(h.image()) - 1
+            rank = [int(h.table[x] * m) for x in tables.elements]
+            assert _is_rank_hom(tables, rank, m), K.spec
+            for i in range(len(rank)):
+                for j in range(i):
+                    if rank[i] != rank[j]:
+                        swapped = list(rank)
+                        swapped[i], swapped[j] = rank[j], rank[i]
+                        assert not _is_rank_hom(tables, swapped, m), (K.spec, i, j)
+
+
+def _count_product_oplus(monkeypatch) -> list[int]:
+    calls = [0]
+    oplus = ProductAlg.oplus
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return oplus(self, x, y)
+
+    monkeypatch.setattr(ProductAlg, "oplus", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "routine", [spectrum, eta, carriers.radical], ids=["spectrum", "eta", "radical"]
+)
+def test_finite_routines_tabulate_oplus_once(monkeypatch, routine):
+    calls = _count_product_oplus(monkeypatch)
+    K = carrier_from_spec("prod(chain:2,chain:3)")
+    routine(K)
+    assert calls[0] <= len(K.elements()) ** 2 == 144
+
+
+def test_equal_carriers_build_their_own_tables(monkeypatch):
+    calls = _count_product_oplus(monkeypatch)
+    first = carrier_from_spec("prod(chain:2,chain:3)")
+    second = carrier_from_spec("prod(chain:2,chain:3)")
+    assert first == second and first is not second
+    spectrum(first)
+    built_once = calls[0]
+    assert built_once > 0
+    spectrum(second)
+    assert calls[0] == 2 * built_once
+    assert first.tables is not second.tables
 
 
 def test_v_of_examples():
