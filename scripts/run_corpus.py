@@ -1,13 +1,41 @@
 #!/usr/bin/env python3
 """Decide the whole law corpus and the non-theorem list; print a table.
 
+Then print the verdict and time of each size of the scaling families:
+oplus associativity over k variables, nfold(n, half(x)) <= nfold(n, x),
+join associativity and nested dist at depth d (d + 1 variables).
+
 Usage: python scripts/run_corpus.py [--budget N]
 """
 
 import argparse
 import time
 
-from mvdelta import corpus, decide
+from mvdelta import corpus, decide, terms
+
+
+def _chains(op, count):
+    """Left- and right-nested op-chains over x1..x<count>."""
+    names = [f"x{i}" for i in range(1, count + 1)]
+    left, right = names[0], names[-1]
+    for name in names[1:]:
+        left = f"{op}({left}, {name})"
+    for name in reversed(names[:-1]):
+        right = f"{op}({name}, {right})"
+    return left, right
+
+
+def scaling_families():
+    """(family, size, equation text) for every measured size."""
+    for k in range(2, 9):
+        yield "oplus_assoc", f"k={k}", "{} = {}".format(*_chains("oplus", k))
+    for n in (2, 3, 4, 5, 6, 7, 8, 16, 32):
+        yield "nfold_half", f"n={n}", f"nfold({n}, half(x)) <= nfold({n}, x)"
+    for d in range(2, 6):
+        yield "join_assoc", f"d={d}", "{} = {}".format(*_chains("join", d + 1))
+    for d in range(1, 4):
+        dists, sums = _chains("dist", d + 1)[0], _chains("oplus", d + 1)[0]
+        yield "dist_nest", f"d={d}", f"{dists} <= {sums}"
 
 
 def main():
@@ -36,6 +64,15 @@ def main():
             f"  {law.name}: {assignment} gives lhs={verdict.lhs_value}, "
             f"rhs={verdict.rhs_value}"
         )
+
+    print("\nscaling families:")
+    print(f"{'family':<14}{'size':<7}{'verdict':<15}time")
+    for family, size, text in scaling_families():
+        eq = terms.parse_equation(text)
+        started = time.perf_counter()
+        verdict = decide.decide(eq.lhs, eq.rhs, eq.relation, budget=args.budget)
+        elapsed = time.perf_counter() - started
+        print(f"{family:<14}{size:<7}{type(verdict).__name__:<15}{elapsed*1000:9.1f} ms")
 
 
 if __name__ == "__main__":

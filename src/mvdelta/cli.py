@@ -14,7 +14,8 @@ Carrier specs: ``chain:n``, ``chang``, ``prod(...)``, ``pl``, and
 ``q01`` (the rational unit interval, used to replay counterexamples).
 
 Exit codes: 0 success/valid, 1 counterexample or obstruction found,
-2 usage or parse error, 3 budget exceeded.  All rationals print as
+2 usage or parse error, 3 budget exceeded (also a term nested past the
+interpreter's recursion limit).  All rationals print as
 ``p/q``; identical invocations produce identical output.
 """
 
@@ -158,18 +159,19 @@ def _cmd_axioms(args, out) -> int:
 
 def _spectrum_as_dict(result: spectrum.SpectrumResult) -> dict:
     carrier = result.carrier
+    elements = carrier.tables.elements
 
     def fmt_ideal(ideal) -> list[str]:
         return sorted(carrier.format_element(x) for x in ideal)
 
     return {
         "algebra": carrier.spec,
-        "elements": len(carrier.elements()),
+        "elements": len(elements),
         "maximal_ideals": [fmt_ideal(m) for m in result.ideals],
         "homs": [
             {
                 carrier.format_element(x): str(h.table[x])
-                for x in carrier.elements()
+                for x in elements
             }
             for h in result.homs
         ],
@@ -204,8 +206,9 @@ def _cmd_spectrum(args, out) -> int:
     if args.json:
         print(json.dumps(_spectrum_as_dict(result), indent=2, sort_keys=True), file=out)
         return EXIT_OK
+    elements = carrier.tables.elements
     print(f"algebra: {carrier.spec}", file=out)
-    print(f"elements: {len(carrier.elements())}", file=out)
+    print(f"elements: {len(elements)}", file=out)
     print(f"maximal ideals: {len(result.ideals)}", file=out)
     for i, m in enumerate(result.ideals, start=1):
         body = ", ".join(sorted(carrier.format_element(x) for x in m))
@@ -213,7 +216,7 @@ def _cmd_spectrum(args, out) -> int:
     print(f"homs: {len(result.homs)}", file=out)
     for i, h in enumerate(result.homs, start=1):
         pairs = ", ".join(
-            f"{carrier.format_element(x)} -> {h.table[x]}" for x in carrier.elements()
+            f"{carrier.format_element(x)} -> {h.table[x]}" for x in elements
         )
         print(f"  h{i}: {pairs}", file=out)
     closed = ", ".join("{" + ",".join(f"m{i + 1}" for i in c) + "}" for c in result.closed_sets)
@@ -332,7 +335,14 @@ _HANDLERS = {
 
 
 def run(argv, out=None) -> int:
-    """Execute a CLI invocation; returns the exit code."""
+    """Execute a CLI invocation; returns the exit code.
+
+    The parser, ``expand`` and the evaluator still recurse once per
+    nesting level (an iterative evaluator is open work, ROADMAP item 2),
+    so a term nested past the interpreter's recursion limit, such as
+    ``nfold(3000, x)``, ends in one ``error:`` line and exit 3 instead
+    of a traceback.
+    """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:
@@ -344,6 +354,9 @@ def run(argv, out=None) -> int:
     except (ParseError, CarrierError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: term nested too deeply for the recursion limit", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def main() -> int:

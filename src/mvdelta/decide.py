@@ -2,12 +2,24 @@
 
 A term over the core connectives denotes a piecewise-linear function on
 the unit cube: truncated addition splits into the two affine regimes
-``x + y <= 1`` and ``x + y >= 1``, negation maps a piece affinely, and
+``x + y < 1`` and ``x + y >= 1``, negation maps a piece affinely, and
 an eventually-constant delta is a single affine combination (its value
 never reaches the truncation threshold).  ``compile_term`` produces the
 resulting guarded pieces; validity of ``lhs <= rhs`` on the cube then
 reduces to infeasibility of ``guard_l and guard_r and (lhs - rhs > 0)``
 for every pair of pieces, which Fourier-Motzkin decides exactly.
+
+The regimes are half-open, so the pieces of a term partition the box:
+every point lies in exactly one piece, whose form is the term's value
+there.  A regime whose strict interior misses the box is at most a face
+of it; on that face both regimes have the same value, so the split is
+not made and the other piece keeps the whole box.  Pieces (and pairs of
+pieces) whose guard holds a constraint together with its complement,
+``f > 0`` with ``-f >= 0``, are dropped without any arithmetic: this
+happens when ``expand`` copies a shared subterm and so reaches one split
+twice.  Every dropped piece is empty, so the pieces still cover the box
+and ``Valid`` stays complete; every witness satisfies its pair's guards,
+so every ``Counterexample`` replays.
 
 Validity on the cube settles validity in every MV-algebra (the unit
 interval generates the variety), and for the implemented
@@ -23,6 +35,7 @@ budget (never a wrong answer).
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_PIECE_BUDGET = 65536
+
+_ONE = AffineForm.const(1)
 
 
 @dataclass(frozen=True)
@@ -96,7 +111,7 @@ class _PieceBudget(Exception):
         self.detail = detail
 
 
-def _feasible_over_box(constraints: tuple[Constraint, ...]) -> bool:
+def _feasible_over_box(constraints: Iterable[Constraint]) -> bool:
     """Cheap local filter: drop a piece whose guard already fails over the box."""
     for c in constraints:
         hi = c.form.constant + sum(max(v, 0) for _, v in c.form.coeffs)
@@ -110,19 +125,32 @@ def _trivial_over_box(c: Constraint) -> bool:
     return lo > 0 or (lo == 0 and not c.strict)
 
 
+def _complement(c: Constraint) -> Constraint:
+    """The constraint that holds exactly where c fails."""
+    return Constraint(c.form.scale(-1), not c.strict)
+
+
 def _combine(
     g1: tuple[Constraint, ...], g2: tuple[Constraint, ...], extra: Constraint | None
 ) -> tuple[Constraint, ...] | None:
-    out = list(g1)
+    """Conjunction of two guards and an optional extra constraint, or None
+    when it is plainly empty: a constraint fails over the whole box, or
+    the guard holds a constraint together with its complement (one split
+    reached twice through a copied subterm)."""
     seen = set(g1)
+    added = []
     for c in g2:
         if c not in seen:
-            out.append(c)
+            added.append(c)
             seen.add(c)
-    if extra is not None and not _trivial_over_box(extra):
-        out.append(extra)
-    guard = tuple(out)
-    return guard if _feasible_over_box(guard) else None
+    if extra is not None and extra not in seen and not _trivial_over_box(extra):
+        added.append(extra)
+        seen.add(extra)
+    # Each input guard already passed these checks; only the added
+    # constraints can clash.
+    if any(_complement(c) in seen for c in added) or not _feasible_over_box(added):
+        return None
+    return g1 + tuple(added)
 
 
 def _pieces(t: Term, budget: int) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
@@ -140,12 +168,20 @@ def _pieces(t: Term, budget: int) -> list[tuple[tuple[Constraint, ...], AffineFo
             for gl, al in lp:
                 for gr, ar in rp:
                     total = al.add(ar)
-                    below = _combine(gl, gr, Constraint(AffineForm.const(1).sub(total)))
-                    if below is not None:
-                        out.append((below, total))
-                    above = _combine(gl, gr, Constraint(total.sub(AffineForm.const(1))))
-                    if above is not None:
-                        out.append((above, AffineForm.const(1)))
+                    excess = total.sub(_ONE)
+                    if _feasible_over_box((Constraint(excess, strict=True),)):
+                        regimes = (
+                            (Constraint(excess.scale(-1), strict=True), total),
+                            (Constraint(excess), _ONE),
+                        )
+                    else:
+                        # total <= 1 on the whole box: the above regime is at
+                        # most a face, where it agrees with the below one.
+                        regimes = ((None, total),)
+                    for extra, form in regimes:
+                        guard = _combine(gl, gr, extra)
+                        if guard is not None:
+                            out.append((guard, form))
                     if len(out) > budget:
                         raise _PieceBudget(f"term compiles to more than {budget} pieces")
             return out
@@ -172,7 +208,15 @@ def _pieces(t: Term, budget: int) -> list[tuple[tuple[Constraint, ...], AffineFo
 
 
 def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> list[Piece]:
-    """Compile an expanded term into guarded affine pieces covering the box.
+    """Compile an expanded term into guarded affine pieces partitioning the box.
+
+    Each ``oplus`` splits a piece into the half-open regimes
+    ``1 - total > 0`` (value ``total``) and ``total - 1 >= 0`` (value 1).
+    When one regime's strict interior misses the box, only the other
+    piece is kept, with no new constraint: the dropped regime is at most
+    a face, where the two values agree.  A piece whose guard fails a
+    constraint over the whole box, or holds a constraint together with
+    its complement, is empty and is dropped.
 
     Raises linarith.BudgetExceeded when the piece count passes the budget.
     """
@@ -205,10 +249,10 @@ def _decide_leq_pieces(
         )
     for gl, al in lhs_pieces:
         for gr, ar in rhs_pieces:
-            system = list(box)
-            system.extend(gl)
-            system.extend(gr)
-            system.append(Constraint(al.sub(ar), strict=True))
+            guard = _combine(gl, gr, None)
+            if guard is None:
+                continue
+            system = [*box, *guard, Constraint(al.sub(ar), strict=True)]
             try:
                 witness = linarith.feasible(system)
             except BudgetExceeded as exc:

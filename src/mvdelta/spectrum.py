@@ -138,7 +138,7 @@ def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
 
 
 def _hom_sort_key(carrier: Carrier, hom: Hom):
-    return tuple(hom.table[x] for x in carrier.elements())
+    return tuple(hom.table[x] for x in carrier.tables.elements)
 
 
 def enumerate_homs(carrier: Carrier) -> list[Hom]:

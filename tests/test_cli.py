@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mvdelta.carriers import ProductAlg
 from mvdelta.cli import run
 from mvdelta.plfunc import from_json, pl_scale, pl_tent, save_plfunc, uniform_dist
 from mvdelta.rationals import Q01
@@ -139,6 +140,21 @@ def test_spectrum_deterministic_output():
     assert payload["elements"] == 12 and len(payload["homs"]) == 2
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_spectrum_lists_the_algebra_once(monkeypatch, extra):
+    calls = []
+    listed = ProductAlg.elements
+
+    def counted(self):
+        calls.append(self.spec)
+        return listed(self)
+
+    monkeypatch.setattr(ProductAlg, "elements", counted)
+    code, _ = invoke("spectrum", "--algebra", "prod(chain:2,chain:3)", *extra)
+    assert code == 0
+    assert len(calls) <= 1
+
+
 def test_spectrum_chang_closed_form():
     code, text = invoke("spectrum", "--algebra", "chang")
     assert code == 0
@@ -186,3 +202,16 @@ def test_byte_identical_reruns():
         ("radical", "--carrier", "chain:4"),
     ]:
         assert invoke(*argv) == invoke(*argv)
+
+
+@pytest.mark.parametrize(
+    "term",
+    ["nfold(3000, x)", "neg(" * 1200 + "x" + ")" * 1200],
+    ids=["nfold3000", "neg1200"],
+)
+def test_deep_nesting_exits_with_budget_code(capsys, term):
+    code, text = invoke("eval", term, "--carrier", "q01", "--assign", "x=1/3")
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert len(err.splitlines()) == 1

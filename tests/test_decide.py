@@ -19,7 +19,8 @@ from mvdelta.decide import (
 )
 from mvdelta.linarith import AffineForm, Constraint, box_constraints, feasible
 from mvdelta.rationals import Q01
-from mvdelta.terms import evaluate, expand, free_vars, parse, print_term as terms_print
+from mvdelta.terms import evaluate, expand, free_vars, parse, parse_equation
+from mvdelta.terms import print_term as terms_print
 
 
 # --- linear arithmetic -------------------------------------------------------
@@ -171,7 +172,71 @@ def test_pieces_cover_and_agree_with_evaluation(salt):
         if holds:
             live += 1
             assert p.form.eval(frac_point) == Fraction(value)
-    assert live >= 1
+    assert live == 1
+
+
+_PARTITION_TERMS = [
+    "oplus(oplus(x, y), z)",
+    "join(join(x, y), meet(y, z))",
+    "meet(join(x, neg(y)), join(y, half(x)))",
+    "nfold(3, half(x))",
+    "dist(x, y)",
+    "oplus(1, x)",
+    "oplus(ominus(x, y), y)",
+    "delta(oplus(x, y), x; y)",
+]
+
+
+@pytest.mark.parametrize("text", _PARTITION_TERMS)
+def test_pieces_partition_the_box(text):
+    """Every grid point lies in exactly one piece, whose form gives the
+    value; no guard holds a constraint together with its complement."""
+    t = expand(parse(text))
+    pieces = compile_term(t)
+    for p in pieces:
+        guard = set(p.guard.constraints)
+        for c in guard:
+            assert Constraint(c.form.scale(-1), not c.strict) not in guard, (text, c)
+    variables = sorted(free_vars(t))
+    grid = [Q01(k, 12) for k in range(13)]
+    for point in _points(grid, len(variables)):
+        assignment = dict(zip(variables, point))
+        frac_point = {v: Fraction(q) for v, q in assignment.items()}
+        live = [
+            p
+            for p in pieces
+            if all(
+                c.form.eval(frac_point) > 0
+                or (c.form.eval(frac_point) == 0 and not c.strict)
+                for c in p.guard.constraints
+            )
+        ]
+        assert len(live) == 1, (text, assignment)
+        assert live[0].form.eval(frac_point) == Fraction(
+            evaluate(t, assignment, Q01_CARRIER)
+        ), (text, assignment)
+
+
+def _assoc(op, k):
+    """Left- against right-nested op-chain over x1..xk."""
+    names = [f"x{i}" for i in range(1, k + 1)]
+    left = names[0]
+    for name in names[1:]:
+        left = f"{op}({left}, {name})"
+    right = names[-1]
+    for name in reversed(names[:-1]):
+        right = f"{op}({name}, {right})"
+    return f"{left} = {right}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_assoc("oplus", 8), "nfold(32, half(x)) <= nfold(32, x)", _assoc("join", 5)],
+    ids=["oplus_assoc_k8", "nfold_half_n32", "join_assoc_5vars"],
+)
+def test_scaling_families_valid_under_default_budget(text):
+    eq = parse_equation(text)
+    assert isinstance(decide(eq.lhs, eq.rhs, eq.relation), Valid)
 
 
 # --- decisions ---------------------------------------------------------------
