@@ -5,7 +5,10 @@ evaluator and every higher-level routine talk to carriers through the
 small interface of :class:`Carrier` (zero, oplus, neg, equality, order,
 optional constants and eventually-constant delta).  The derived
 connectives odot, ominus, dist, join, meet and nfold are defined once
-for the whole package, on :class:`Carrier`, from oplus and neg.
+for the whole package, on :class:`Carrier`, from oplus and neg (nfold by
+binary doubling).  The n-fold halving ``halve_n`` is one delta call, or
+a closed form: ``x / 2^n`` on the unit interval, factor by factor on
+products, a scaling on the piecewise-linear functions.
 
 Provided here: the unit interval of exact rationals, finite Lukasiewicz
 chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
@@ -131,22 +134,26 @@ class Carrier(ABC):
         return self.neg(self.join(self.neg(x), self.neg(y)))
 
     def nfold(self, n: int, x):
+        """x oplus ... oplus x (n times), by binary doubling: O(log n) oplus
+        calls, valid because oplus is associative and commutative."""
         if n < 1:
             raise ValueError(f"nfold requires n >= 1, got {n}")
-        out = x
-        for _ in range(n - 1):
-            out = self.oplus(out, x)
-        return out
-
-    def halve(self, x):
-        """The derived halving operation delta(x, 0, 0, ...)."""
-        return self.delta([x], self.zero())
+        out, power = None, x
+        while True:
+            if n & 1:
+                out = power if out is None else self.oplus(out, power)
+            n >>= 1
+            if not n:
+                return out
+            power = self.oplus(power, power)
 
     def halve_n(self, n: int, x):
-        out = x
-        for _ in range(n):
-            out = self.halve(out)
-        return out
+        """The n-fold halving x / 2^n, as delta(0, ..., 0, x, 0, ...) with x
+        in place n; carriers with a closed form override it."""
+        if n < 1:
+            raise ValueError(f"halfn requires n >= 1, got {n}")
+        zero = self.zero()
+        return self.delta([zero] * (n - 1) + [x], zero)
 
     # Finite-enumeration hooks.
 
@@ -204,6 +211,9 @@ class UnitInterval(Carrier):
             total += p * weight
         total += tail * weight
         return Q01(total)
+
+    def halve_n(self, n: int, x: Q01) -> Q01:
+        return Q01(x / 2**n)
 
     def format_element(self, x) -> str:
         return str(x)
@@ -321,6 +331,10 @@ class ProductAlg(Carrier):
         return tuple(
             f.delta([p[i] for p in prefix], tail[i]) for i, f in enumerate(self.factors)
         )
+
+    def halve_n(self, n: int, x) -> tuple:
+        self._check(x)
+        return tuple(f.halve_n(n, a) for f, a in zip(self.factors, x))
 
     def is_finite(self) -> bool:
         return all(f.is_finite() for f in self.factors)

@@ -14,8 +14,10 @@ Carrier specs: ``chain:n``, ``chang``, ``prod(...)``, ``pl``, and
 ``q01`` (the rational unit interval, used to replay counterexamples).
 
 Exit codes: 0 success/valid, 1 counterexample or obstruction found,
-2 usage or parse error, 3 budget exceeded (also a term nested past the
-interpreter's recursion limit).  All rationals print as
+2 usage or parse error (also a value too long to print), 3 budget
+exceeded (also a term nested past the interpreter's recursion limit).
+``nfold`` and ``halfn`` are evaluated without unrolling their counts,
+so ``nfold(100000000, x)`` answers at once.  All rationals print as
 ``p/q``; identical invocations produce identical output.
 """
 
@@ -309,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gammaxi", help="good-sequence round trips for a chain")
     p.add_argument("--chain", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_at_least(0), required=True)
 
     p = sub.add_parser("isbell", help="reconstruct half of a target function")
     p.add_argument("--target", required=True)
@@ -338,10 +340,12 @@ def run(argv, out=None) -> int:
     """Execute a CLI invocation; returns the exit code.
 
     The parser, ``expand`` and the evaluator still recurse once per
-    nesting level (an iterative evaluator is open work, ROADMAP item 2),
-    so a term nested past the interpreter's recursion limit, such as
-    ``nfold(3000, x)``, ends in one ``error:`` line and exit 3 instead
-    of a traceback.
+    nesting level, so a term nested past the interpreter's recursion
+    limit, such as ``neg`` applied 1,200 times, ends in one ``error:``
+    line and exit 3 instead of a traceback.  A value whose numerator or
+    denominator has more digits than Python converts to text, such as
+    ``halfn(100000, x)`` at ``x=1/3``, ends in one ``error:`` line and
+    exit 2.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()

@@ -24,16 +24,24 @@ so every ``Counterexample`` replays.
 Validity on the cube settles validity in every MV-algebra (the unit
 interval generates the variety), and for the implemented
 eventually-constant delta fragment the same compilation covers the
-delta laws.
+delta laws.  The counted nodes are compiled without unrolling the term:
+``nfold(n, t)`` folds the ``oplus`` split over one compilation of t,
+left-nested as in ``oplus(oplus(t, t), t)``, and ``halfn(n, t)`` scales
+each form of t by ``2^-n``; the pieces are those of the unrolled term.
 
-Equations are decided as two inequality checks.  Verdicts are exact:
+Equations are decided as two inequality checks over one compilation of
+each side.  Verdicts are exact:
 ``Valid``, a replayable rational ``Counterexample``, or
 ``LimitExceeded`` when the piece bookkeeping outgrows the configured
 budget (never a wrong answer).
+
+``sample_falsify`` is the independent evaluation oracle: seeded dyadic
+samples, run on both sides compiled into one integer program.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -43,7 +51,7 @@ from . import linarith, terms
 from .carriers import Q01_CARRIER
 from .linarith import AffineForm, BudgetExceeded, Constraint
 from .rationals import Q01
-from .terms import Const, Delta, EvSeq, Neg, Oplus, Term, Var
+from .terms import Const, Delta, EvSeq, HalfN, Neg, NFold, Oplus, Term, Var
 
 __all__ = [
     "Guard",
@@ -153,7 +161,34 @@ def _combine(
     return g1 + tuple(added)
 
 
-def _pieces(t: Term, budget: int) -> list[tuple[tuple[Constraint, ...], AffineForm]]:
+_RawPieces = list[tuple[tuple[Constraint, ...], AffineForm]]
+
+
+def _oplus_pieces(lp: _RawPieces, rp: _RawPieces, budget: int) -> _RawPieces:
+    out = []
+    for gl, al in lp:
+        for gr, ar in rp:
+            total = al.add(ar)
+            excess = total.sub(_ONE)
+            if _feasible_over_box((Constraint(excess, strict=True),)):
+                regimes = (
+                    (Constraint(excess.scale(-1), strict=True), total),
+                    (Constraint(excess), _ONE),
+                )
+            else:
+                # total <= 1 on the whole box: the above regime is at
+                # most a face, where it agrees with the below one.
+                regimes = ((None, total),)
+            for extra, form in regimes:
+                guard = _combine(gl, gr, extra)
+                if guard is not None:
+                    out.append((guard, form))
+            if len(out) > budget:
+                raise _PieceBudget(f"term compiles to more than {budget} pieces")
+    return out
+
+
+def _pieces(t: Term, budget: int) -> _RawPieces:
     match t:
         case Var(name):
             return [((), AffineForm.variable(name))]
@@ -162,29 +197,19 @@ def _pieces(t: Term, budget: int) -> list[tuple[tuple[Constraint, ...], AffineFo
         case Neg(arg):
             return [(g, a.negate_about_one()) for g, a in _pieces(arg, budget)]
         case Oplus(left, right):
-            lp = _pieces(left, budget)
-            rp = _pieces(right, budget)
-            out = []
-            for gl, al in lp:
-                for gr, ar in rp:
-                    total = al.add(ar)
-                    excess = total.sub(_ONE)
-                    if _feasible_over_box((Constraint(excess, strict=True),)):
-                        regimes = (
-                            (Constraint(excess.scale(-1), strict=True), total),
-                            (Constraint(excess), _ONE),
-                        )
-                    else:
-                        # total <= 1 on the whole box: the above regime is at
-                        # most a face, where it agrees with the below one.
-                        regimes = ((None, total),)
-                    for extra, form in regimes:
-                        guard = _combine(gl, gr, extra)
-                        if guard is not None:
-                            out.append((guard, form))
-                    if len(out) > budget:
-                        raise _PieceBudget(f"term compiles to more than {budget} pieces")
+            return _oplus_pieces(_pieces(left, budget), _pieces(right, budget), budget)
+        case NFold(n, arg):
+            # The left-nested chain oplus(oplus(t, t), t)...: the same
+            # pieces as the unrolled term, from one compilation of t.
+            inner = _pieces(arg, budget)
+            out = inner
+            for _ in range(n - 1):
+                out = _oplus_pieces(out, inner, budget)
             return out
+        case HalfN(n, arg):
+            # t / 2^n is affine in t: no split, each form scaled.
+            weight = Fraction(1, 2**n)
+            return [(g, a.scale(weight)) for g, a in _pieces(arg, budget)]
         case Delta(EvSeq(prefix, tail)):
             parts = [_pieces(p, budget) for p in prefix] + [_pieces(tail, budget)]
             k = len(prefix)
@@ -229,19 +254,14 @@ def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> list[Piece]:
 
 
 def _decide_leq_pieces(
-    lhs: Term,
-    rhs: Term,
+    lhs_pieces: _RawPieces,
+    rhs_pieces: _RawPieces,
+    variables: list[str],
     eq_lhs: Term,
     eq_rhs: Term,
     budget: int,
 ) -> Verdict:
-    variables = sorted(terms.free_vars(lhs) | terms.free_vars(rhs))
     box = linarith.box_constraints(variables)
-    try:
-        lhs_pieces = _pieces(lhs, budget)
-        rhs_pieces = _pieces(rhs, budget)
-    except _PieceBudget as exc:
-        return LimitExceeded(BudgetReport(budget, exc.detail))
     pairs = len(lhs_pieces) * len(rhs_pieces)
     if pairs > budget:
         return LimitExceeded(
@@ -269,27 +289,35 @@ def _counterexample(eq_lhs: Term, eq_rhs: Term, assignment: dict[str, Q01]) -> C
     return Counterexample(assignment, lhs_value, rhs_value)
 
 
+def _decide_expanded(le: Term, re_: Term, relation: str, budget: int) -> Verdict:
+    """lhs <= rhs, and for "eq" then rhs <= lhs, with each side compiled once."""
+    variables = sorted(terms.free_vars(le) | terms.free_vars(re_))
+    try:
+        lhs_pieces = _pieces(le, budget)
+        rhs_pieces = _pieces(re_, budget)
+    except _PieceBudget as exc:
+        return LimitExceeded(BudgetReport(budget, exc.detail))
+    verdict = _decide_leq_pieces(lhs_pieces, rhs_pieces, variables, le, re_, budget)
+    if relation == "eq" and isinstance(verdict, Valid):
+        verdict = _decide_leq_pieces(rhs_pieces, lhs_pieces, variables, le, re_, budget)
+    return verdict
+
+
 def decide_leq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
     """Valid iff lhs <= rhs identically on the unit cube."""
-    le, re_ = terms.expand(lhs), terms.expand(rhs)
-    verdict = _decide_leq_pieces(le, re_, le, re_, budget)
+    verdict = _decide_expanded(terms.expand(lhs), terms.expand(rhs), "leq", budget)
     if isinstance(verdict, Counterexample):
         assert not verdict.lhs_value <= verdict.rhs_value
     return verdict
 
 
 def decide_eq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
-    """Valid iff lhs = rhs identically on the unit cube; decided as two <= checks."""
-    le, re_ = terms.expand(lhs), terms.expand(rhs)
-    first = _decide_leq_pieces(le, re_, le, re_, budget)
-    if not isinstance(first, Valid):
-        if isinstance(first, Counterexample):
-            assert first.lhs_value != first.rhs_value
-        return first
-    second = _decide_leq_pieces(re_, le, le, re_, budget)
-    if isinstance(second, Counterexample):
-        assert second.lhs_value != second.rhs_value
-    return second
+    """Valid iff lhs = rhs identically on the unit cube; decided as two <= checks
+    over one compilation of each side."""
+    verdict = _decide_expanded(terms.expand(lhs), terms.expand(rhs), "eq", budget)
+    if isinstance(verdict, Counterexample):
+        assert verdict.lhs_value != verdict.rhs_value
+    return verdict
 
 
 def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
@@ -298,6 +326,80 @@ def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDG
     if relation == "leq":
         return decide_leq(lhs, rhs, budget)
     raise ValueError(f"unknown relation {relation!r}")
+
+
+# Opcodes of the compiled sampling program.
+_VAR, _CONST, _NEG, _OPLUS, _DELTA, _NFOLD, _HALFN = range(7)
+
+
+def _children(t: Term) -> tuple[Term, ...]:
+    match t:
+        case Var(_) | Const(_):
+            return ()
+        case Neg(arg) | NFold(_, arg) | HalfN(_, arg):
+            return (arg,)
+        case Oplus(left, right):
+            return (left, right)
+        case Delta(EvSeq(prefix, tail)):
+            return (*prefix, tail)
+    raise TypeError(f"term not in core form (call expand first): {t!r}")
+
+
+def _compile_program(roots: tuple[Term, ...]):
+    """One hash-consed, topologically ordered instruction list for expanded terms.
+
+    Instruction ``i`` is ``(opcode, a, b)`` and computes slot ``i`` from
+    earlier slots; equal ``(opcode, a, b)`` keys share one slot.  Returns
+    the instructions, the slot of each root, and the halving depth: the
+    most halvings on a path from a root down to a leaf, which bounds how
+    far any value may be shifted.  Iterative, so deep terms need no
+    recursion.
+    """
+    code: list[tuple] = []
+    halvings: list[int] = []
+    slot_of: dict[tuple, int] = {}
+    done: dict[int, int] = {}  # id(node) -> slot; the roots keep the nodes alive
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in done:
+                stack.pop()
+                continue
+            kids = _children(node)
+            pending = [k for k in kids if id(k) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            slots = [done[id(k)] for k in kids]
+            match node:
+                case Var(name):
+                    key, depth = (_VAR, name, None), 0
+                case Const(value):
+                    key, depth = (_CONST, value, None), 0
+                case Neg(_):
+                    key, depth = (_NEG, slots[0], None), halvings[slots[0]]
+                case Oplus(_, _):
+                    key = (_OPLUS, slots[0], slots[1])
+                    depth = max(halvings[slots[0]], halvings[slots[1]])
+                case NFold(n, _):
+                    key, depth = (_NFOLD, n, slots[0]), halvings[slots[0]]
+                case HalfN(n, _):
+                    key, depth = (_HALFN, n, slots[0]), halvings[slots[0]] + n
+                case Delta(EvSeq(prefix, _)):
+                    # Prefix entry i is weighted 2^-i, the tail 2^-k.
+                    shifts = [*range(1, len(prefix) + 1), len(prefix)]
+                    key = (_DELTA, tuple(zip(slots, shifts)), None)
+                    depth = max(halvings[s] + i for s, i in zip(slots, shifts))
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(code)
+                code.append(key)
+                halvings.append(depth)
+            done[id(node)] = slot
+    root_slots = [done[id(root)] for root in roots]
+    return code, root_slots, max(halvings[s] for s in root_slots)
 
 
 def sample_falsify(
@@ -313,20 +415,61 @@ def sample_falsify(
     Returns the first failing assignment (deterministic for a given
     seed) or None.  This is an evaluation oracle, independent of the
     piecewise compilation used by decide_eq/decide_leq.
+
+    Both sides are compiled once into one instruction list, run on
+    every sample in integers scaled by a common denominator
+    ``D = 2^depth * lcm(constant denominators) * 2^H``, where H is the
+    largest halving depth.  Every value is then an exact integer
+    multiple of 1/D: ``oplus`` is ``min(a + b, D)``, ``neg`` is
+    ``D - a``, ``delta`` is ``sum(v_i >> i)``, ``nfold`` is
+    ``min(n * a, D)`` and ``halfn`` is ``a >> n``, and each shift
+    drops only zero bits.  Values become ``Q01`` only in the returned
+    counterexample.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if relation not in ("eq", "leq"):
         raise ValueError(f"unknown relation {relation!r}")
     le, re_ = terms.expand(lhs), terms.expand(rhs)
-    variables = sorted(terms.free_vars(le) | terms.free_vars(re_))
-    rng = random.Random(seed)
+    code, (lhs_slot, rhs_slot), halving_depth = _compile_program((le, re_))
     grid = 2**depth
+    denominators = [value.denominator for op, value, _ in code if op == _CONST]
+    scale = math.lcm(1, *denominators) << halving_depth
+    top = grid * scale  # the scaled 1
+    variables = sorted(name for op, name, _ in code if op == _VAR)
+    var_index = {name: i for i, name in enumerate(variables)}
+    # Leaves become loads of the sample point or fixed values; the rest
+    # is the program run per sample.
+    program = []
+    initial = [0] * len(code)
+    for slot, (op, a, b) in enumerate(code):
+        if op == _VAR:
+            program.append((_VAR, slot, var_index[a], None))
+        elif op == _CONST:
+            initial[slot] = a.numerator * (top // a.denominator)
+        else:
+            program.append((op, slot, a, b))
+    rng = random.Random(seed)
     for _ in range(trials):
-        assignment = {v: Q01(rng.randint(0, grid), grid) for v in variables}
-        lv = terms.evaluate_core(le, assignment, Q01_CARRIER)
-        rv = terms.evaluate_core(re_, assignment, Q01_CARRIER)
-        bad = (lv != rv) if relation == "eq" else (not lv <= rv)
-        if bad:
-            return Counterexample(assignment, lv, rv)
+        point = [rng.randint(0, grid) for _ in variables]
+        vals = initial[:]
+        for op, slot, a, b in program:
+            if op == _OPLUS:
+                total = vals[a] + vals[b]
+                vals[slot] = total if total < top else top
+            elif op == _NEG:
+                vals[slot] = top - vals[a]
+            elif op == _VAR:
+                vals[slot] = point[a] * scale
+            elif op == _DELTA:
+                vals[slot] = sum(vals[s] >> i for s, i in a)
+            elif op == _NFOLD:
+                total = a * vals[b]
+                vals[slot] = total if total < top else top
+            else:  # _HALFN
+                vals[slot] = vals[b] >> a
+        lv, rv = vals[lhs_slot], vals[rhs_slot]
+        if (lv != rv) if relation == "eq" else (lv > rv):
+            assignment = {v: Q01(k, grid) for v, k in zip(variables, point)}
+            return Counterexample(assignment, Q01(lv, top), Q01(rv, top))
     return None

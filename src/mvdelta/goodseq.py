@@ -324,6 +324,8 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     if n < 1:
         raise ValueError(f"chain order must be >= 1, got {n}")
     bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     chain = FiniteChain(n)
 
     seqs: list[GoodSeq] = []

@@ -449,6 +449,9 @@ class PLCarrier(Carrier):
     def delta(self, prefix, tail: PLFunc) -> PLFunc:
         return pl_delta(prefix, tail)
 
+    def halve_n(self, n: int, x: PLFunc) -> PLFunc:
+        return pl_scale(Q01(1, 2**n), x)
+
     def format_element(self, x: PLFunc) -> str:
         return json.dumps(to_json(x), separators=(",", ":"))
 

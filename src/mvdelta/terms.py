@@ -22,6 +22,13 @@ finite-support sequence is written with tail ``0``.  On a carrier its
 value is ``sum(p_i / 2^i) + c / 2^k``, which never exceeds 1 for
 unit-interval arguments, so the truncated and the ordinary sum agree.
 
+``expand`` rewrites the sugar into the core nodes ``Var``, ``Const``,
+``Neg``, ``Oplus``, ``Delta``, ``NFold`` and ``HalfN``.  The counted
+nodes stay counted: ``nfold(n, t)`` is ``min(n*t, 1)`` and
+``halfn(n, t)`` is ``t / 2^n`` on the unit interval, which generates the
+variety, so every consumer can handle them in closed form instead of
+unrolling n connectives.
+
 Equations for the decision engine are written ``<term> = <term>`` or
 ``<term> <= <term>``.
 """
@@ -115,7 +122,8 @@ class Delta(Term):
     seq: EvSeq
 
 
-# Sugar nodes; expand() rewrites them into {Var, Const, Neg, Oplus, Delta}.
+# Sugar nodes Odot..Half; expand() rewrites them into core nodes.  HalfN
+# and NFold, below them, are core nodes.
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,7 +417,11 @@ def free_vars(t: Term) -> frozenset[str]:
 
 
 def expand(t: Term) -> Term:
-    """Rewrite sugar into the core nodes {Var, Const, Neg, Oplus, Delta}."""
+    """Rewrite sugar into the core nodes {Var, Const, Neg, Oplus, Delta, NFold, HalfN}.
+
+    ``nfold`` and ``halfn`` keep their counts: unrolled they would be n
+    nested connectives.
+    """
     match t:
         case Var(_) | Const(_):
             return t
@@ -432,16 +444,9 @@ def expand(t: Term) -> Term:
         case Half(arg):
             return Delta(EvSeq((expand(arg),), Const(ZERO)))
         case HalfN(n, arg):
-            out = expand(arg)
-            for _ in range(n):
-                out = Delta(EvSeq((out,), Const(ZERO)))
-            return out
+            return HalfN(n, expand(arg))
         case NFold(n, arg):
-            inner = expand(arg)
-            out = inner
-            for _ in range(n - 1):
-                out = Oplus(out, inner)
-            return out
+            return NFold(n, expand(arg))
         case Delta(EvSeq(prefix, tail)):
             return Delta(EvSeq(tuple(expand(p) for p in prefix), expand(tail)))
     raise TypeError(f"not a term: {t!r}")
@@ -450,8 +455,8 @@ def expand(t: Term) -> Term:
 def evaluate_core(t: Term, assignment, carrier):
     """Evaluate an already-expanded term over a carrier.
 
-    The carrier must provide const/oplus/neg and, for delta terms, an
-    exact eventually-constant delta.
+    The carrier must provide const/oplus/neg/nfold/halve_n and, for
+    delta terms, an exact eventually-constant delta.
     """
     match t:
         case Var(name):
@@ -471,6 +476,10 @@ def evaluate_core(t: Term, assignment, carrier):
         case Delta(EvSeq(prefix, tail)):
             values = [evaluate_core(p, assignment, carrier) for p in prefix]
             return carrier.delta(values, evaluate_core(tail, assignment, carrier))
+        case NFold(n, arg):
+            return carrier.nfold(n, evaluate_core(arg, assignment, carrier))
+        case HalfN(n, arg):
+            return carrier.halve_n(n, evaluate_core(arg, assignment, carrier))
     raise TypeError(f"term not in core form: {t!r}")
 
 

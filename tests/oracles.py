@@ -6,10 +6,46 @@ one of the two.
 """
 
 import itertools
+import random
 
-from mvdelta.carriers import Carrier
+from mvdelta import terms
+from mvdelta.carriers import Q01_CARRIER, Carrier
+from mvdelta.decide import Counterexample
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import Hom, _hom_sort_key
+
+
+def sample_falsify_reference(lhs, rhs, relation="eq", trials=1000, seed=0, depth=8):
+    """The sampling search of ``decide.sample_falsify``, evaluated with
+    ``evaluate_core`` on ``Q01`` values: the same rng draws in the same
+    order, so both must return the same first failing sample."""
+    le, re_ = terms.expand(lhs), terms.expand(rhs)
+    variables = sorted(terms.free_vars(le) | terms.free_vars(re_))
+    rng = random.Random(seed)
+    grid = 2**depth
+    for _ in range(trials):
+        assignment = {v: Q01(rng.randint(0, grid), grid) for v in variables}
+        lv = terms.evaluate_core(le, assignment, Q01_CARRIER)
+        rv = terms.evaluate_core(re_, assignment, Q01_CARRIER)
+        bad = (lv != rv) if relation == "eq" else (not lv <= rv)
+        if bad:
+            return Counterexample(assignment, lv, rv)
+    return None
+
+
+def nfold_by_loop(carrier: Carrier, n: int, x):
+    """x oplus x oplus ... oplus x, n - 1 oplus calls from the left."""
+    out = x
+    for _ in range(n - 1):
+        out = carrier.oplus(out, x)
+    return out
+
+
+def halve_n_by_loop(carrier: Carrier, n: int, x):
+    """n successive halvings delta(x; 0)."""
+    for _ in range(n):
+        x = carrier.delta([x], carrier.zero())
+    return x
 
 
 def brute_force_ideals(carrier: Carrier) -> list[frozenset]:

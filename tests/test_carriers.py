@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from mvdelta import corpus
 from mvdelta.carriers import (
     CHANG,
     Q01_CARRIER,
+    Carrier,
     CarrierError,
     CarrierMismatch,
     ChangAlgebra,
     ChangElem,
     ConstUnsupported,
+    DeltaUnsupported,
     FiniteChain,
     ProductAlg,
     carrier_from_spec,
@@ -20,9 +24,10 @@ from mvdelta.carriers import (
     principal_ideal,
     radical,
 )
+from mvdelta.plfunc import PL_CARRIER, pl_identity, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.terms import evaluate, free_vars
-from oracles import brute_force_ideals
+from oracles import brute_force_ideals, halve_n_by_loop, nfold_by_loop
 
 # Every product of chains with at most 8 elements, up to the trivial chain.
 SMALL_FINITE_SPECS = [f"chain:{n}" for n in range(1, 8)] + [
@@ -303,3 +308,54 @@ def test_generic_operation_dispatch():
     assert getattr(l4, "dist")(1, 3) == 2
     assert getattr(l4, "nfold")(3, 2) == 4
     assert getattr(CHANG, "meet")(ChangElem(0, 2), ChangElem(1, -1)) == ChangElem(0, 2)
+
+
+def _counted_cases():
+    """(carrier, elements) pairs covering every carrier kind and each override."""
+    rng = random.Random(7)
+    pl = [random_plfunc(rng, max_interior=2, depth=3) for _ in range(4)] + [pl_identity()]
+    q01 = [Q01(k, 12) for k in range(13)] + [Q01(1, 3), Q01(2, 7)]
+    chain = FiniteChain(5)
+    chang = [ChangElem(0, 0), ChangElem(0, 3), ChangElem(1, -2), ChangElem(1, 0)]
+    return [
+        (Q01_CARRIER, q01),
+        (chain, chain.elements()),
+        (FiniteChain(1), [0, 1]),
+        (ProductAlg((FiniteChain(2), FiniteChain(3))), ProductAlg((FiniteChain(2), FiniteChain(3))).elements()),
+        (ProductAlg((Q01_CARRIER, PL_CARRIER)), [(q, f) for q, f in zip(q01, pl)]),
+        (CHANG, chang),
+        (PL_CARRIER, pl),
+    ]
+
+
+@pytest.mark.parametrize("carrier, elems", _counted_cases(), ids=lambda c: getattr(c, "spec", ""))
+def test_nfold_and_halve_n_agree_with_loops(carrier, elems):
+    for x in elems:
+        for n in (1, 2, 3, 5, 8, 13):
+            assert carrier.nfold(n, x) == nfold_by_loop(carrier, n, x)
+        for n in (1, 2, 3, 6):
+            try:
+                want = halve_n_by_loop(carrier, n, x)
+            except DeltaUnsupported as exc:
+                with pytest.raises(DeltaUnsupported) as raised:
+                    carrier.halve_n(n, x)
+                assert raised.value.args == exc.args
+                continue
+            got = carrier.halve_n(n, x)
+            # Equal element objects, so printed elements cannot differ.
+            assert got == want and carrier.format_element(got) == carrier.format_element(want)
+
+
+def test_halve_n_default_is_one_delta_call():
+    calls = []
+
+    class Counted(type(Q01_CARRIER)):
+        def delta(self, prefix, tail):
+            calls.append(len(prefix))
+            return super().delta(prefix, tail)
+
+    carrier = Counted()
+    assert Carrier.halve_n(carrier, 5, Q01(1, 3)) == Q01(1, 96)
+    assert calls == [5]
+    with pytest.raises(ValueError):
+        Carrier.halve_n(carrier, 0, Q01(1, 3))

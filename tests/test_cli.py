@@ -204,14 +204,36 @@ def test_byte_identical_reruns():
         assert invoke(*argv) == invoke(*argv)
 
 
-@pytest.mark.parametrize(
-    "term",
-    ["nfold(3000, x)", "neg(" * 1200 + "x" + ")" * 1200],
-    ids=["nfold3000", "neg1200"],
-)
+@pytest.mark.parametrize("term", ["neg(" * 1200 + "x" + ")" * 1200], ids=["neg1200"])
 def test_deep_nesting_exits_with_budget_code(capsys, term):
     code, text = invoke("eval", term, "--carrier", "q01", "--assign", "x=1/3")
     assert code == 3 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested too deeply" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "term, x, value",
+    [("nfold(3000, x)", "1/3", "1"), ("nfold(100000000, x)", "1/300000000", "1/3")],
+    ids=["nfold3000", "nfold100000000"],
+)
+def test_counted_nodes_answer_at_any_count(term, x, value):
+    code, text = invoke("eval", term, "--carrier", "q01", "--assign", f"x={x}")
+    assert code == 0 and text == value + "\n"
+
+
+def test_huge_halving_ends_in_one_error_line(capsys):
+    # 1/(3 * 2^100000) is computed, but its denominator has more digits
+    # than Python prints by default.
+    code, text = invoke("eval", "halfn(100000, x)", "--carrier", "q01", "--assign", "x=1/3")
+    assert code in (2, 3) and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, text = invoke("eval", "halfn(100000, x)", "--carrier", "q01", "--assign", "x=0")
+    assert code == 0 and text == "0\n"
+
+
+def test_gammaxi_rejects_negative_bound():
+    code, text = invoke("gammaxi", "--chain", "2", "--bound", "-3")
+    assert code == 2 and text == ""

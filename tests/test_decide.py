@@ -19,8 +19,25 @@ from mvdelta.decide import (
 )
 from mvdelta.linarith import AffineForm, Constraint, box_constraints, feasible
 from mvdelta.rationals import Q01
-from mvdelta.terms import evaluate, expand, free_vars, parse, parse_equation
+from mvdelta.terms import (
+    Const,
+    Delta,
+    EvSeq,
+    HalfN,
+    Join,
+    Neg,
+    NFold,
+    Odot,
+    Oplus,
+    Var,
+    evaluate,
+    expand,
+    free_vars,
+    parse,
+    parse_equation,
+)
 from mvdelta.terms import print_term as terms_print
+from oracles import sample_falsify_reference
 
 
 # --- linear arithmetic -------------------------------------------------------
@@ -416,3 +433,56 @@ def test_sample_falsify_deterministic():
     assert a == b
     with pytest.raises(ValueError):
         sample_falsify(parse("x"), parse("x"), "eq", trials=0)
+
+
+# The compiled integer sampler against the Q01 reference loop: the same
+# rng draws in the same order must give the same first failing sample.
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_falsify_matches_reference_on_corpus(seed):
+    laws = [(law, 100) for law in corpus.decision_corpus()]
+    laws += [(law, 1000) for law in corpus.non_theorems()]
+    for law, trials in laws:
+        for depth in (1, 4, 8):
+            args = (law.lhs, law.rhs, law.relation, trials, seed, depth)
+            assert sample_falsify(*args) == sample_falsify_reference(*args), (law.name, depth)
+
+
+_SAMPLING_CONSTS = [Q01(0), Q01(1), Q01(1, 2), Q01(1, 3), Q01(2, 5), Q01(4, 7), Q01(3, 8), Q01(5, 6)]
+
+
+def _sampling_terms(depth):
+    leaf = st.one_of(
+        st.sampled_from(["x", "y", "z"]).map(Var), st.sampled_from(_SAMPLING_CONSTS).map(Const)
+    )
+    if depth == 0:
+        return leaf
+    sub = _sampling_terms(depth - 1)
+    pair = st.tuples(sub, sub)
+    return st.one_of(
+        leaf,
+        sub.map(Neg),
+        pair.map(lambda p: Oplus(*p)),
+        pair.map(lambda p: Odot(*p)),
+        pair.map(lambda p: Join(*p)),
+        st.tuples(st.integers(1, 40), sub).map(lambda p: NFold(*p)),
+        st.tuples(st.integers(1, 70), sub).map(lambda p: HalfN(*p)),
+        st.tuples(st.lists(sub, min_size=1, max_size=3), sub).map(
+            lambda p: Delta(EvSeq(tuple(p[0]), p[1]))
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _sampling_terms(3),
+    _sampling_terms(3),
+    st.sampled_from(["eq", "leq"]),
+    st.integers(0, 2),
+    st.sampled_from([1, 4, 8]),
+)
+def test_sample_falsify_matches_reference_on_random_terms(lhs, rhs, relation, seed, depth):
+    for right in (rhs, Oplus(lhs, Const(Q01(0)))):
+        args = (lhs, right, relation, 20, seed, depth)
+        assert sample_falsify(*args) == sample_falsify_reference(*args)

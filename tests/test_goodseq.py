@@ -165,6 +165,10 @@ def test_xi_chain_iso_examples():
     assert report.sequences == 1 and report.ok
     with pytest.raises(ValueError):
         xi_chain_iso(0, 3)
+    with pytest.raises(ValueError):
+        xi_chain_iso(2, -3)
+    with pytest.raises(ValueError):
+        xi_chain_iso(2, Fraction(-1, 2))
 
 
 def test_enumerate_good_seqs_requires_finite():

@@ -86,16 +86,22 @@ def test_expand_definitions():
     assert expand(Odot(x, y)) == Neg(Oplus(Neg(x), Neg(y)))
     assert expand(Ominus(x, y)) == Neg(Oplus(Neg(x), y))
     assert expand(Join(x, y)) == Oplus(Neg(Oplus(Neg(x), y)), y)
-    assert expand(HalfN(2, x)) == Delta(
-        EvSeq((Delta(EvSeq((x,), Const(ZERO))),), Const(ZERO))
-    )
-    assert expand(NFold(3, x)) == Oplus(Oplus(x, x), x)
+    # The counted nodes are kept, with their arguments expanded.
+    assert expand(HalfN(2, Odot(x, y))) == HalfN(2, expand(Odot(x, y)))
+    assert expand(NFold(3, Join(x, y))) == NFold(3, expand(Join(x, y)))
+    # Each evaluates like its unrolled form.
+    unrolled_halfn = Delta(EvSeq((Delta(EvSeq((x,), Const(ZERO))),), Const(ZERO)))
+    unrolled_nfold = Oplus(Oplus(x, x), x)
+    for k in range(17):
+        env = {"x": Q01(k, 16)}
+        assert evaluate(HalfN(2, x), env, Q01_CARRIER) == evaluate(unrolled_halfn, env, Q01_CARRIER)
+        assert evaluate(NFold(3, x), env, Q01_CARRIER) == evaluate(unrolled_nfold, env, Q01_CARRIER)
     # Expansion leaves only core nodes.
-    core = (Var, Const, Neg, Oplus, Delta)
+    core = (Var, Const, Neg, Oplus, Delta, NFold, HalfN)
 
     def walk(t):
         assert isinstance(t, core)
-        if isinstance(t, Neg):
+        if isinstance(t, (Neg, NFold, HalfN)):
             walk(t.arg)
         elif isinstance(t, Oplus):
             walk(t.left), walk(t.right)
