@@ -41,7 +41,7 @@ from .carriers import (
     radical,
 )
 from .rationals import Q01
-from .terms import ParseError
+from .terms import ParseError, UnboundVariable
 
 __all__ = ["main", "run"]
 
@@ -116,7 +116,12 @@ def _cmd_eval(args, out) -> int:
     term = terms.parse(args.term)
     assignment = _parse_assignment(args.assign or "", carrier)
     value = terms.evaluate(term, assignment, carrier)
-    print(carrier.format_element(value), file=out)
+    try:
+        text = carrier.format_element(value)
+    except ValueError:  # Python prints no integer past its digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"value too long to print (a number of over {limit} digits)") from None
+    print(text, file=out)
     return EXIT_OK
 
 
@@ -126,9 +131,8 @@ def _cmd_axioms(args, out) -> int:
     rng = random.Random(args.seed)
     failures = 0
     for law in laws:
-        variables = sorted(terms.free_vars(law.lhs) | terms.free_vars(law.rhs))
-        expanded_l = terms.expand(law.lhs)
-        expanded_r = terms.expand(law.rhs)
+        code, (lhs, rhs), _ = terms.compile_core((terms.expand(law.lhs), terms.expand(law.rhs)))
+        variables = sorted(name for op, name, _ in code if op == terms.VAR)
         bad = None
         for _ in range(args.trials):
             if isinstance(carrier, plfunc.PLCarrier):
@@ -141,8 +145,8 @@ def _cmd_axioms(args, out) -> int:
                     v: carrier.const(Q01(rng.randint(0, grid), grid))
                     for v in variables
                 }
-            lv = terms.evaluate_core(expanded_l, assignment, carrier)
-            rv = terms.evaluate_core(expanded_r, assignment, carrier)
+            values = terms.run(code, assignment, carrier)
+            lv, rv = values[lhs], values[rhs]
             holds = carrier.eq(lv, rv) if law.relation == "eq" else carrier.leq(lv, rv)
             if not holds:
                 bad = assignment
@@ -339,13 +343,12 @@ _HANDLERS = {
 def run(argv, out=None) -> int:
     """Execute a CLI invocation; returns the exit code.
 
-    The parser, ``expand`` and the evaluator still recurse once per
-    nesting level, so a term nested past the interpreter's recursion
-    limit, such as ``neg`` applied 1,200 times, ends in one ``error:``
-    line and exit 3 instead of a traceback.  A value whose numerator or
-    denominator has more digits than Python converts to text, such as
-    ``halfn(100000, x)`` at ``x=1/3``, ends in one ``error:`` line and
-    exit 2.
+    Only the parser still recurses once per nesting level, so a term
+    nested past the interpreter's recursion limit, such as ``neg``
+    applied 1,200 times, ends in one ``error:`` line and exit 3 instead
+    of a traceback.  An unbound variable, and a value holding a number
+    with more digits than Python converts to text (``halfn(100000, x)``
+    at ``x=1/3``), each end in one ``error:`` line and exit 2.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -355,7 +358,7 @@ def run(argv, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
-    except (ParseError, CarrierError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, CarrierError, UnboundVariable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -29,14 +29,17 @@ delta laws.  The counted nodes are compiled without unrolling the term:
 left-nested as in ``oplus(oplus(t, t), t)``, and ``halfn(n, t)`` scales
 each form of t by ``2^-n``; the pieces are those of the unrolled term.
 
-Equations are decided as two inequality checks over one compilation of
-each side.  Verdicts are exact:
-``Valid``, a replayable rational ``Counterexample``, or
-``LimitExceeded`` when the piece bookkeeping outgrows the configured
-budget (never a wrong answer).
+Both sides are compiled by ``terms.compile_core`` into one program, and
+the pieces are built once per program slot, in program order, so a
+subterm shared within or across the sides is compiled once and nothing
+recurses.  Equations are decided as two inequality checks over those
+piece lists, and a witness is replayed by ``terms.run`` on the same
+program.  Verdicts are exact: ``Valid``, a replayable rational
+``Counterexample``, or ``LimitExceeded`` when the piece bookkeeping
+outgrows the configured budget (never a wrong answer).
 
 ``sample_falsify`` is the independent evaluation oracle: seeded dyadic
-samples, run on both sides compiled into one integer program.
+samples, run on the same program in scaled integers.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from . import linarith, terms
 from .carriers import Q01_CARRIER
 from .linarith import AffineForm, BudgetExceeded, Constraint
 from .rationals import Q01
-from .terms import Const, Delta, EvSeq, HalfN, Neg, NFold, Oplus, Term, Var
+from .terms import CONST, DELTA, HALFN, NEG, NFOLD, OPLUS, VAR, Term
 
 __all__ = [
     "Guard",
@@ -188,48 +191,43 @@ def _oplus_pieces(lp: _RawPieces, rp: _RawPieces, budget: int) -> _RawPieces:
     return out
 
 
-def _pieces(t: Term, budget: int) -> _RawPieces:
-    match t:
-        case Var(name):
-            return [((), AffineForm.variable(name))]
-        case Const(value):
-            return [((), AffineForm.const(value))]
-        case Neg(arg):
-            return [(g, a.negate_about_one()) for g, a in _pieces(arg, budget)]
-        case Oplus(left, right):
-            return _oplus_pieces(_pieces(left, budget), _pieces(right, budget), budget)
-        case NFold(n, arg):
+def _piece_lists(code, budget: int) -> list[_RawPieces]:
+    """The pieces of every slot of a ``terms.compile_core`` program, in order."""
+    lists: list[_RawPieces] = []
+    for op, a, b in code:
+        if op == VAR:
+            pieces = [((), AffineForm.variable(a))]
+        elif op == CONST:
+            pieces = [((), AffineForm.const(a))]
+        elif op == NEG:
+            pieces = [(g, f.negate_about_one()) for g, f in lists[a]]
+        elif op == OPLUS:
+            pieces = _oplus_pieces(lists[a], lists[b], budget)
+        elif op == NFOLD:
             # The left-nested chain oplus(oplus(t, t), t)...: the same
             # pieces as the unrolled term, from one compilation of t.
-            inner = _pieces(arg, budget)
-            out = inner
-            for _ in range(n - 1):
-                out = _oplus_pieces(out, inner, budget)
-            return out
-        case HalfN(n, arg):
+            pieces = lists[b]
+            for _ in range(a - 1):
+                pieces = _oplus_pieces(pieces, lists[b], budget)
+        elif op == HALFN:
             # t / 2^n is affine in t: no split, each form scaled.
-            weight = Fraction(1, 2**n)
-            return [(g, a.scale(weight)) for g, a in _pieces(arg, budget)]
-        case Delta(EvSeq(prefix, tail)):
-            parts = [_pieces(p, budget) for p in prefix] + [_pieces(tail, budget)]
-            k = len(prefix)
-            weights = [Fraction(1, 2**i) for i in range(1, k + 1)]
-            weights.append(Fraction(1, 2**k))
-            out = [((), AffineForm.const(0))]
-            for part, w in zip(parts, weights):
+            weight = Fraction(1, 2**a)
+            pieces = [(g, f.scale(weight)) for g, f in lists[b]]
+        else:  # DELTA: prefix entry i weighs 2^-i, the tail 2^-k
+            pieces = [((), AffineForm.const(0))]
+            for s, i in a:
+                weight = Fraction(1, 2**i)
                 grown = []
-                for g_acc, a_acc in out:
-                    for g, a in part:
+                for g_acc, f_acc in pieces:
+                    for g, f in lists[s]:
                         merged = _combine(g_acc, g, None)
                         if merged is not None:
-                            grown.append((merged, a_acc.add(a.scale(w))))
+                            grown.append((merged, f_acc.add(f.scale(weight))))
                         if len(grown) > budget:
-                            raise _PieceBudget(
-                                f"term compiles to more than {budget} pieces"
-                            )
-                out = grown
-            return out
-    raise TypeError(f"term not in core form (call expand first): {t!r}")
+                            raise _PieceBudget(f"term compiles to more than {budget} pieces")
+                pieces = grown
+        lists.append(pieces)
+    return lists
 
 
 def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> list[Piece]:
@@ -245,28 +243,23 @@ def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> list[Piece]:
 
     Raises linarith.BudgetExceeded when the piece count passes the budget.
     """
-    box = tuple(linarith.box_constraints(terms.free_vars(t)))
+    code, (slot,), _ = terms.compile_core((t,))
+    box = tuple(linarith.box_constraints(name for op, name, _ in code if op == VAR))
     try:
-        raw = _pieces(t, budget)
+        raw = _piece_lists(code, budget)[slot]
     except _PieceBudget as exc:
         raise BudgetExceeded(exc.detail) from None
-    return [Piece(Guard(box + g), a) for g, a in raw]
+    return [Piece(Guard(box + g), f) for g, f in raw]
 
 
 def _decide_leq_pieces(
-    lhs_pieces: _RawPieces,
-    rhs_pieces: _RawPieces,
-    variables: list[str],
-    eq_lhs: Term,
-    eq_rhs: Term,
-    budget: int,
-) -> Verdict:
+    lhs_pieces: _RawPieces, rhs_pieces: _RawPieces, variables: list[str], budget: int
+) -> Valid | LimitExceeded | dict[str, Q01]:
+    """Valid, LimitExceeded, or a witness assignment where lhs > rhs."""
     box = linarith.box_constraints(variables)
     pairs = len(lhs_pieces) * len(rhs_pieces)
     if pairs > budget:
-        return LimitExceeded(
-            BudgetReport(budget, f"{pairs} piece pairs exceed the budget")
-        )
+        return LimitExceeded(BudgetReport(budget, f"{pairs} piece pairs exceed the budget"))
     for gl, al in lhs_pieces:
         for gr, ar in rhs_pieces:
             guard = _combine(gl, gr, None)
@@ -278,28 +271,24 @@ def _decide_leq_pieces(
             except BudgetExceeded as exc:
                 return LimitExceeded(BudgetReport(budget, str(exc)))
             if witness is not None:
-                assignment = {v: Q01(witness.get(v, Fraction(0))) for v in variables}
-                return _counterexample(eq_lhs, eq_rhs, assignment)
+                return {v: Q01(witness.get(v, Fraction(0))) for v in variables}
     return Valid()
 
 
-def _counterexample(eq_lhs: Term, eq_rhs: Term, assignment: dict[str, Q01]) -> Counterexample:
-    lhs_value = terms.evaluate_core(eq_lhs, assignment, Q01_CARRIER)
-    rhs_value = terms.evaluate_core(eq_rhs, assignment, Q01_CARRIER)
-    return Counterexample(assignment, lhs_value, rhs_value)
-
-
 def _decide_expanded(le: Term, re_: Term, relation: str, budget: int) -> Verdict:
-    """lhs <= rhs, and for "eq" then rhs <= lhs, with each side compiled once."""
-    variables = sorted(terms.free_vars(le) | terms.free_vars(re_))
+    """lhs <= rhs, and for "eq" then rhs <= lhs, over one program of both sides."""
+    code, (lhs, rhs), _ = terms.compile_core((le, re_))
+    variables = sorted(name for op, name, _ in code if op == VAR)
     try:
-        lhs_pieces = _pieces(le, budget)
-        rhs_pieces = _pieces(re_, budget)
+        pieces = _piece_lists(code, budget)
     except _PieceBudget as exc:
         return LimitExceeded(BudgetReport(budget, exc.detail))
-    verdict = _decide_leq_pieces(lhs_pieces, rhs_pieces, variables, le, re_, budget)
+    verdict = _decide_leq_pieces(pieces[lhs], pieces[rhs], variables, budget)
     if relation == "eq" and isinstance(verdict, Valid):
-        verdict = _decide_leq_pieces(rhs_pieces, lhs_pieces, variables, le, re_, budget)
+        verdict = _decide_leq_pieces(pieces[rhs], pieces[lhs], variables, budget)
+    if isinstance(verdict, dict):
+        values = terms.run(code, verdict, Q01_CARRIER)
+        return Counterexample(verdict, values[lhs], values[rhs])
     return verdict
 
 
@@ -326,80 +315,6 @@ def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDG
     if relation == "leq":
         return decide_leq(lhs, rhs, budget)
     raise ValueError(f"unknown relation {relation!r}")
-
-
-# Opcodes of the compiled sampling program.
-_VAR, _CONST, _NEG, _OPLUS, _DELTA, _NFOLD, _HALFN = range(7)
-
-
-def _children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Var(_) | Const(_):
-            return ()
-        case Neg(arg) | NFold(_, arg) | HalfN(_, arg):
-            return (arg,)
-        case Oplus(left, right):
-            return (left, right)
-        case Delta(EvSeq(prefix, tail)):
-            return (*prefix, tail)
-    raise TypeError(f"term not in core form (call expand first): {t!r}")
-
-
-def _compile_program(roots: tuple[Term, ...]):
-    """One hash-consed, topologically ordered instruction list for expanded terms.
-
-    Instruction ``i`` is ``(opcode, a, b)`` and computes slot ``i`` from
-    earlier slots; equal ``(opcode, a, b)`` keys share one slot.  Returns
-    the instructions, the slot of each root, and the halving depth: the
-    most halvings on a path from a root down to a leaf, which bounds how
-    far any value may be shifted.  Iterative, so deep terms need no
-    recursion.
-    """
-    code: list[tuple] = []
-    halvings: list[int] = []
-    slot_of: dict[tuple, int] = {}
-    done: dict[int, int] = {}  # id(node) -> slot; the roots keep the nodes alive
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in done:
-                stack.pop()
-                continue
-            kids = _children(node)
-            pending = [k for k in kids if id(k) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            slots = [done[id(k)] for k in kids]
-            match node:
-                case Var(name):
-                    key, depth = (_VAR, name, None), 0
-                case Const(value):
-                    key, depth = (_CONST, value, None), 0
-                case Neg(_):
-                    key, depth = (_NEG, slots[0], None), halvings[slots[0]]
-                case Oplus(_, _):
-                    key = (_OPLUS, slots[0], slots[1])
-                    depth = max(halvings[slots[0]], halvings[slots[1]])
-                case NFold(n, _):
-                    key, depth = (_NFOLD, n, slots[0]), halvings[slots[0]]
-                case HalfN(n, _):
-                    key, depth = (_HALFN, n, slots[0]), halvings[slots[0]] + n
-                case Delta(EvSeq(prefix, _)):
-                    # Prefix entry i is weighted 2^-i, the tail 2^-k.
-                    shifts = [*range(1, len(prefix) + 1), len(prefix)]
-                    key = (_DELTA, tuple(zip(slots, shifts)), None)
-                    depth = max(halvings[s] + i for s, i in zip(slots, shifts))
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = len(code)
-                code.append(key)
-                halvings.append(depth)
-            done[id(node)] = slot
-    root_slots = [done[id(root)] for root in roots]
-    return code, root_slots, max(halvings[s] for s in root_slots)
 
 
 def sample_falsify(
@@ -431,21 +346,21 @@ def sample_falsify(
     if relation not in ("eq", "leq"):
         raise ValueError(f"unknown relation {relation!r}")
     le, re_ = terms.expand(lhs), terms.expand(rhs)
-    code, (lhs_slot, rhs_slot), halving_depth = _compile_program((le, re_))
+    code, (lhs_slot, rhs_slot), halving_depth = terms.compile_core((le, re_))
     grid = 2**depth
-    denominators = [value.denominator for op, value, _ in code if op == _CONST]
+    denominators = [value.denominator for op, value, _ in code if op == CONST]
     scale = math.lcm(1, *denominators) << halving_depth
     top = grid * scale  # the scaled 1
-    variables = sorted(name for op, name, _ in code if op == _VAR)
+    variables = sorted(name for op, name, _ in code if op == VAR)
     var_index = {name: i for i, name in enumerate(variables)}
     # Leaves become loads of the sample point or fixed values; the rest
     # is the program run per sample.
     program = []
     initial = [0] * len(code)
     for slot, (op, a, b) in enumerate(code):
-        if op == _VAR:
-            program.append((_VAR, slot, var_index[a], None))
-        elif op == _CONST:
+        if op == VAR:
+            program.append((VAR, slot, var_index[a], None))
+        elif op == CONST:
             initial[slot] = a.numerator * (top // a.denominator)
         else:
             program.append((op, slot, a, b))
@@ -454,19 +369,19 @@ def sample_falsify(
         point = [rng.randint(0, grid) for _ in variables]
         vals = initial[:]
         for op, slot, a, b in program:
-            if op == _OPLUS:
+            if op == OPLUS:
                 total = vals[a] + vals[b]
                 vals[slot] = total if total < top else top
-            elif op == _NEG:
+            elif op == NEG:
                 vals[slot] = top - vals[a]
-            elif op == _VAR:
+            elif op == VAR:
                 vals[slot] = point[a] * scale
-            elif op == _DELTA:
+            elif op == DELTA:
                 vals[slot] = sum(vals[s] >> i for s, i in a)
-            elif op == _NFOLD:
+            elif op == NFOLD:
                 total = a * vals[b]
                 vals[slot] = total if total < top else top
-            else:  # _HALFN
+            else:  # HALFN
                 vals[slot] = vals[b] >> a
         lv, rv = vals[lhs_slot], vals[rhs_slot]
         if (lv != rv) if relation == "eq" else (lv > rv):

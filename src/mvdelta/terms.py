@@ -1,4 +1,4 @@
-"""Term language for MV/delta expressions: AST, parser, printer, evaluator.
+"""Term language for MV/delta expressions: AST, parser, printer, compiler, evaluator.
 
 Grammar (ASCII, whitespace insignificant between tokens)::
 
@@ -28,6 +28,13 @@ nodes stay counted: ``nfold(n, t)`` is ``min(n*t, 1)`` and
 ``halfn(n, t)`` is ``t / 2^n`` on the unit interval, which generates the
 variety, so every consumer can handle them in closed form instead of
 unrolling n connectives.
+
+``compile_core`` turns expanded terms into one hash-consed program in
+left-to-right post-order, and ``run`` evaluates it over any carrier.
+This is the one place that knows the shapes of the core nodes: the
+evaluator, ``free_vars``, the decider's piece compiler and its sampler
+all read the program, so a shared subterm is computed once.  Below the
+parser nothing recurses, so terms of any depth are accepted.
 
 Equations for the decision engine are written ``<term> = <term>`` or
 ``<term> <= <term>``.
@@ -66,6 +73,8 @@ __all__ = [
     "expand",
     "evaluate",
     "evaluate_core",
+    "compile_core",
+    "run",
 ]
 
 
@@ -257,10 +266,6 @@ class _Parser:
             raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
     def parse_int(self) -> int:
         tok = self.next()
         if tok.kind != "int":
@@ -365,122 +370,191 @@ def parse_equation(text: str) -> Equation:
     return Equation(lhs, relation, rhs)
 
 
-def print_term(t: Term) -> str:
-    """Canonical text form; parse(print_term(t)) == t."""
+def _children(t: Term) -> tuple[Term, ...]:
+    match t:
+        case Var(_) | Const(_):
+            return ()
+        case Neg(arg) | Half(arg) | HalfN(_, arg) | NFold(_, arg):
+            return (arg,)
+        case Oplus(l, r) | Odot(l, r) | Ominus(l, r) | Dist(l, r) | Join(l, r) | Meet(l, r):
+            return (l, r)
+        case Delta(EvSeq(prefix, tail)):
+            return (*prefix, tail)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _postorder(roots, visit) -> list:
+    """Call ``visit(node, results of its children)`` once per distinct node
+    object, children first and left to right, and return the results of
+    the roots.  Iterative, so deep terms need no recursion; nodes are
+    keyed by identity, which the roots keep alive."""
+    done: dict[int, object] = {}
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            node, kids = stack.pop()
+            if kids is not None:
+                done[id(node)] = visit(node, [done[id(k)] for k in kids])
+            elif id(node) not in done:
+                kids = _children(node)
+                stack.append((node, kids))
+                stack.extend((k, None) for k in reversed(kids))
+    return [done[id(root)] for root in roots]
+
+
+_NAME = {cls: name for name, cls in {**_UNARY, **_BINARY, **_INT_FIRST}.items()}
+
+
+def _print_node(t: Term, kids: list[str]) -> str:
     match t:
         case Var(name):
             return name
         case Const(value):
             return str(value)
-        case Neg(arg):
-            return f"neg({print_term(arg)})"
-        case Half(arg):
-            return f"half({print_term(arg)})"
-        case Oplus(l, r):
-            return f"oplus({print_term(l)}, {print_term(r)})"
-        case Odot(l, r):
-            return f"odot({print_term(l)}, {print_term(r)})"
-        case Ominus(l, r):
-            return f"ominus({print_term(l)}, {print_term(r)})"
-        case Dist(l, r):
-            return f"dist({print_term(l)}, {print_term(r)})"
-        case Join(l, r):
-            return f"join({print_term(l)}, {print_term(r)})"
-        case Meet(l, r):
-            return f"meet({print_term(l)}, {print_term(r)})"
-        case HalfN(n, arg):
-            return f"halfn({n}, {print_term(arg)})"
-        case NFold(n, arg):
-            return f"nfold({n}, {print_term(arg)})"
-        case Delta(EvSeq(prefix, tail)):
-            args = ", ".join(print_term(p) for p in prefix)
-            return f"delta({args}; {print_term(tail)})"
-    raise TypeError(f"not a term: {t!r}")
+        case HalfN(n, _) | NFold(n, _):
+            return f"{_NAME[type(t)]}({n}, {kids[0]})"
+        case Delta(_):
+            return f"delta({', '.join(kids[:-1])}; {kids[-1]})"
+    return f"{_NAME[type(t)]}({', '.join(kids)})"
+
+
+def print_term(t: Term) -> str:
+    """Canonical text form; parse(print_term(t)) == t."""
+    return _postorder((t,), _print_node)[0]
 
 
 def free_vars(t: Term) -> frozenset[str]:
+    code, _, _ = compile_core((expand(t),))
+    return frozenset(name for op, name, _ in code if op == VAR)
+
+
+# Each sugar node as core nodes over its expanded arguments.
+_SUGAR = {
+    Odot: lambda l, r: Neg(Oplus(Neg(l), Neg(r))),
+    Ominus: lambda l, r: Neg(Oplus(Neg(l), r)),  # x odot neg(y)
+    Dist: lambda l, r: Oplus(_SUGAR[Ominus](l, r), _SUGAR[Ominus](r, l)),
+    Join: lambda l, r: Oplus(Neg(Oplus(Neg(l), r)), r),
+    Meet: lambda l, r: Neg(_SUGAR[Join](Neg(l), Neg(r))),
+    Half: lambda arg: Delta(EvSeq((arg,), Const(ZERO))),
+}
+
+
+def _expand_node(t: Term, kids: list[Term]) -> Term:
     match t:
-        case Var(name):
-            return frozenset({name})
-        case Const(_):
-            return frozenset()
-        case Neg(arg) | Half(arg) | HalfN(_, arg) | NFold(_, arg):
-            return free_vars(arg)
-        case Oplus(l, r) | Odot(l, r) | Ominus(l, r) | Dist(l, r) | Join(l, r) | Meet(l, r):
-            return free_vars(l) | free_vars(r)
-        case Delta(EvSeq(prefix, tail)):
-            out = free_vars(tail)
-            for p in prefix:
-                out |= free_vars(p)
-            return out
-    raise TypeError(f"not a term: {t!r}")
+        case Var(_) | Const(_):
+            return t
+        case Neg(_) | Oplus(_, _):
+            return type(t)(*kids)
+        case HalfN(n, _) | NFold(n, _):
+            return type(t)(n, *kids)
+        case Delta(_):
+            return Delta(EvSeq(tuple(kids[:-1]), kids[-1]))
+    return _SUGAR[type(t)](*kids)
 
 
 def expand(t: Term) -> Term:
     """Rewrite sugar into the core nodes {Var, Const, Neg, Oplus, Delta, NFold, HalfN}.
 
     ``nfold`` and ``halfn`` keep their counts: unrolled they would be n
-    nested connectives.
+    nested connectives.  Iterative, like everything that reads terms
+    below the parser.
     """
-    match t:
-        case Var(_) | Const(_):
-            return t
-        case Neg(arg):
-            return Neg(expand(arg))
-        case Oplus(l, r):
-            return Oplus(expand(l), expand(r))
-        case Odot(l, r):
-            return Neg(Oplus(Neg(expand(l)), Neg(expand(r))))
-        case Ominus(l, r):
-            # x ominus y = x odot neg(y) = neg(neg(x) oplus y)
-            return Neg(Oplus(Neg(expand(l)), expand(r)))
-        case Dist(l, r):
-            return Oplus(expand(Ominus(l, r)), expand(Ominus(r, l)))
-        case Join(l, r):
-            le, re_ = expand(l), expand(r)
-            return Oplus(Neg(Oplus(Neg(le), re_)), re_)
-        case Meet(l, r):
-            return Neg(expand(Join(Neg(l), Neg(r))))
-        case Half(arg):
-            return Delta(EvSeq((expand(arg),), Const(ZERO)))
-        case HalfN(n, arg):
-            return HalfN(n, expand(arg))
-        case NFold(n, arg):
-            return NFold(n, expand(arg))
-        case Delta(EvSeq(prefix, tail)):
-            return Delta(EvSeq(tuple(expand(p) for p in prefix), expand(tail)))
-    raise TypeError(f"not a term: {t!r}")
+    return _postorder((t,), _expand_node)[0]
+
+
+# Opcodes of a compiled core program.
+VAR, CONST, NEG, OPLUS, DELTA, NFOLD, HALFN = range(7)
+
+
+def compile_core(roots):
+    """One hash-consed program for expanded terms, in left-to-right post-order.
+
+    Instruction ``i`` is ``(opcode, a, b)`` and computes slot ``i`` from
+    earlier slots:
+
+    - ``(VAR, name, None)`` and ``(CONST, value, None)`` are the leaves;
+    - ``(NEG, s, None)`` and ``(OPLUS, s, t)`` apply a connective;
+    - ``(NFOLD, n, s)`` and ``(HALFN, n, s)`` are the counted nodes;
+    - ``(DELTA, ((s_1, 1), ..., (s_k, k), (t, k)), None)`` pairs each
+      prefix slot with its halving count, the tail last.
+
+    Equal instructions share one slot, so a shared subterm is computed
+    once, and slots follow the order of a recursive evaluation, so a run
+    meets the carrier's errors in the same order.  Returns the
+    instructions, the slot of each root, and the halving depth: the most
+    halvings on a path from a root down to a leaf, which bounds how far
+    any value may be shifted.
+    """
+    code: list[tuple] = []
+    halvings: list[int] = []
+    slot_of: dict[tuple, int] = {}
+
+    def emit(node: Term, slots: list[int]) -> int:
+        match node:
+            case Var(name):
+                key, depth = (VAR, name, None), 0
+            case Const(value):
+                key, depth = (CONST, value, None), 0
+            case Neg(_):
+                key, depth = (NEG, slots[0], None), halvings[slots[0]]
+            case Oplus(_, _):
+                key = (OPLUS, slots[0], slots[1])
+                depth = max(halvings[slots[0]], halvings[slots[1]])
+            case NFold(n, _):
+                key, depth = (NFOLD, n, slots[0]), halvings[slots[0]]
+            case HalfN(n, _):
+                key, depth = (HALFN, n, slots[0]), halvings[slots[0]] + n
+            case Delta(EvSeq(prefix, _)):
+                shifts = [*range(1, len(prefix) + 1), len(prefix)]
+                key = (DELTA, tuple(zip(slots, shifts)), None)
+                depth = max(halvings[s] + i for s, i in zip(slots, shifts))
+            case _:
+                raise TypeError(f"term not in core form (call expand first): {node!r}")
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(code)
+            code.append(key)
+            halvings.append(depth)
+        return slot
+
+    root_slots = _postorder(roots, emit)
+    return code, root_slots, max(halvings[s] for s in root_slots)
+
+
+def run(code, assignment, carrier) -> list:
+    """The value of every slot of a ``compile_core`` program, in order.
+
+    One carrier call per instruction, none for a variable.  The carrier
+    must provide const/oplus/neg/nfold/halve_n and, for delta terms, an
+    exact eventually-constant delta.
+    """
+    vals: list = []
+    for op, a, b in code:
+        if op == OPLUS:
+            vals.append(carrier.oplus(vals[a], vals[b]))
+        elif op == NEG:
+            vals.append(carrier.neg(vals[a]))
+        elif op == VAR:
+            try:
+                vals.append(assignment[a])
+            except KeyError:
+                raise UnboundVariable(a) from None
+        elif op == CONST:
+            vals.append(carrier.const(a))
+        elif op == DELTA:
+            *prefix, tail = (vals[s] for s, _ in a)
+            vals.append(carrier.delta(prefix, tail))
+        elif op == NFOLD:
+            vals.append(carrier.nfold(a, vals[b]))
+        else:  # HALFN
+            vals.append(carrier.halve_n(a, vals[b]))
+    return vals
 
 
 def evaluate_core(t: Term, assignment, carrier):
-    """Evaluate an already-expanded term over a carrier.
-
-    The carrier must provide const/oplus/neg/nfold/halve_n and, for
-    delta terms, an exact eventually-constant delta.
-    """
-    match t:
-        case Var(name):
-            try:
-                return assignment[name]
-            except KeyError:
-                raise UnboundVariable(name) from None
-        case Const(value):
-            return carrier.const(value)
-        case Neg(arg):
-            return carrier.neg(evaluate_core(arg, assignment, carrier))
-        case Oplus(l, r):
-            return carrier.oplus(
-                evaluate_core(l, assignment, carrier),
-                evaluate_core(r, assignment, carrier),
-            )
-        case Delta(EvSeq(prefix, tail)):
-            values = [evaluate_core(p, assignment, carrier) for p in prefix]
-            return carrier.delta(values, evaluate_core(tail, assignment, carrier))
-        case NFold(n, arg):
-            return carrier.nfold(n, evaluate_core(arg, assignment, carrier))
-        case HalfN(n, arg):
-            return carrier.halve_n(n, evaluate_core(arg, assignment, carrier))
-    raise TypeError(f"term not in core form: {t!r}")
+    """Evaluate an already-expanded term over a carrier: ``run`` on its program."""
+    code, (slot,), _ = compile_core((t,))
+    return run(code, assignment, carrier)[slot]
 
 
 def evaluate(t: Term, assignment, carrier):

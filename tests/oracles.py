@@ -13,20 +13,49 @@ from mvdelta.carriers import Q01_CARRIER, Carrier
 from mvdelta.decide import Counterexample
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import Hom, _hom_sort_key
+from mvdelta.terms import Const, Delta, EvSeq, HalfN, Neg, NFold, Oplus, Term, UnboundVariable, Var
+
+
+def evaluate_by_recursion(t: Term, assignment, carrier):
+    """Evaluate an already-expanded term over a carrier by structural
+    recursion, one carrier call per tree node (shared subterms included)."""
+    match t:
+        case Var(name):
+            try:
+                return assignment[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        case Const(value):
+            return carrier.const(value)
+        case Neg(arg):
+            return carrier.neg(evaluate_by_recursion(arg, assignment, carrier))
+        case Oplus(l, r):
+            return carrier.oplus(
+                evaluate_by_recursion(l, assignment, carrier),
+                evaluate_by_recursion(r, assignment, carrier),
+            )
+        case Delta(EvSeq(prefix, tail)):
+            values = [evaluate_by_recursion(p, assignment, carrier) for p in prefix]
+            return carrier.delta(values, evaluate_by_recursion(tail, assignment, carrier))
+        case NFold(n, arg):
+            return carrier.nfold(n, evaluate_by_recursion(arg, assignment, carrier))
+        case HalfN(n, arg):
+            return carrier.halve_n(n, evaluate_by_recursion(arg, assignment, carrier))
+    raise TypeError(f"term not in core form: {t!r}")
 
 
 def sample_falsify_reference(lhs, rhs, relation="eq", trials=1000, seed=0, depth=8):
     """The sampling search of ``decide.sample_falsify``, evaluated with
-    ``evaluate_core`` on ``Q01`` values: the same rng draws in the same
-    order, so both must return the same first failing sample."""
+    ``evaluate_by_recursion`` on ``Q01`` values: the same rng draws in
+    the same order, so both must return the same first failing sample."""
     le, re_ = terms.expand(lhs), terms.expand(rhs)
     variables = sorted(terms.free_vars(le) | terms.free_vars(re_))
     rng = random.Random(seed)
     grid = 2**depth
     for _ in range(trials):
         assignment = {v: Q01(rng.randint(0, grid), grid) for v in variables}
-        lv = terms.evaluate_core(le, assignment, Q01_CARRIER)
-        rv = terms.evaluate_core(re_, assignment, Q01_CARRIER)
+        lv = evaluate_by_recursion(le, assignment, Q01_CARRIER)
+        rv = evaluate_by_recursion(re_, assignment, Q01_CARRIER)
         bad = (lv != rv) if relation == "eq" else (not lv <= rv)
         if bad:
             return Counterexample(assignment, lv, rv)

@@ -31,13 +31,14 @@ from mvdelta.terms import (
     Oplus,
     Var,
     evaluate,
+    evaluate_core,
     expand,
     free_vars,
     parse,
     parse_equation,
 )
 from mvdelta.terms import print_term as terms_print
-from oracles import sample_falsify_reference
+from oracles import evaluate_by_recursion, sample_falsify_reference
 
 
 # --- linear arithmetic -------------------------------------------------------
@@ -177,7 +178,7 @@ def test_pieces_cover_and_agree_with_evaluation(salt):
     t = expand(parse(text))
     pieces = compile_term(t)
     point = {v: Q01(rng.randint(0, 16), 16) for v in free_vars(t)}
-    value = evaluate(t, point, Q01_CARRIER)
+    value = evaluate_by_recursion(t, point, Q01_CARRIER)
     frac_point = {v: Fraction(q) for v, q in point.items()}
     live = 0
     for p in pieces:
@@ -230,8 +231,23 @@ def test_pieces_partition_the_box(text):
         ]
         assert len(live) == 1, (text, assignment)
         assert live[0].form.eval(frac_point) == Fraction(
-            evaluate(t, assignment, Q01_CARRIER)
+            evaluate_by_recursion(t, assignment, Q01_CARRIER)
         ), (text, assignment)
+
+
+def test_deep_core_terms_need_no_recursion():
+    # neg applied 5,000 times, built directly: the parser would recurse.
+    t = Var("x")
+    for _ in range(5000):
+        t = Neg(t)
+    assert evaluate_core(t, {"x": Q01(1, 3)}, Q01_CARRIER) == Q01(1, 3)
+    assert evaluate_core(Neg(t), {"x": Q01(1, 3)}, Q01_CARRIER) == Q01(2, 3)
+    (piece,) = compile_term(t)
+    assert piece.form == AffineForm.variable("x")
+    assert isinstance(decide(t, Var("x"), "eq"), Valid)
+    verdict = decide(Neg(t), Var("x"), "eq")
+    assert isinstance(verdict, Counterexample)
+    assert verdict.lhs_value == Q01(1) - verdict.assignment["x"] != verdict.rhs_value
 
 
 def _assoc(op, k):

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdelta.carriers import Q01_CARRIER, FiniteChain, DeltaUnsupported
+from mvdelta.carriers import Q01_CARRIER, FiniteChain, DeltaUnsupported, UnitInterval, carrier_from_spec
 from mvdelta.rationals import Q01, ZERO, ONE
 from mvdelta.terms import (
     Const,
@@ -18,15 +18,19 @@ from mvdelta.terms import (
     Ominus,
     Oplus,
     ParseError,
+    OPLUS,
     UnboundVariable,
     Var,
+    compile_core,
     evaluate,
+    evaluate_core,
     expand,
     free_vars,
     parse,
     parse_equation,
     print_term,
 )
+from oracles import evaluate_by_recursion
 
 
 def test_parse_basic_structure():
@@ -192,3 +196,75 @@ def test_no_truncation_for_eventually_constant_delta(grid3):
                 folded = Q01_CARRIER.oplus(folded, Q01(c / 4))
                 via_delta = Q01_CARRIER.delta([a, b], c)
                 assert by_sum == folded == via_delta
+
+
+def test_shared_subterms_are_evaluated_once():
+    # join(x1, join(x2, ... join(x8, x9))): expand copies each right
+    # argument twice, so the tree has 2^9 - 2 oplus nodes.
+    t = Var("x9")
+    for i in range(8, 0, -1):
+        t = Join(Var(f"x{i}"), t)
+    calls = []
+
+    class Counting(UnitInterval):
+        def oplus(self, x, y):
+            calls.append((x, y))
+            return super().oplus(x, y)
+
+    code, _, _ = compile_core((expand(t),))
+    distinct = sum(op == OPLUS for op, _, _ in code)
+    env = {f"x{i}": Q01(i, 10) for i in range(1, 10)}
+    assert evaluate(t, env, Counting()) == evaluate_by_recursion(expand(t), env, Q01_CARRIER)
+    assert len(calls) == distinct == 16
+
+
+# Random core terms against the recursive oracle on every kind of
+# carrier: equal values, or the same exception with the same message
+# (constants and delta are missing on some carriers, z may be unbound).
+
+_CARRIER_ELEMENTS = {
+    "q01": ["0", "1/3", "1/2", "1"],
+    "chain:5": ["0", "2/5", "3/5", "1"],
+    "prod(chain:2,chain:3)": ["(0, 0)", "(1/2, 1/3)", "(1, 2/3)", "(1, 1)"],
+    "chang": ["(0,0)", "(0,2)", "(1,-5)", "(1,0)"],
+    "pl": ['[["0","0"],["1","1"]]', "1/2", '[["0","1"],["1/2","0"],["1","1"]]', "0"],
+}
+
+
+def _core_terms(depth):
+    leaf = st.one_of(
+        st.sampled_from(["x", "y", "z"]).map(Var),
+        st.sampled_from([Q01(0), Q01(1), Q01(1, 2), Q01(1, 3)]).map(Const),
+    )
+    if depth == 0:
+        return leaf
+    sub = _core_terms(depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(Neg),
+        st.tuples(sub, sub).map(lambda p: Oplus(*p)),
+        st.tuples(st.integers(1, 5), sub).map(lambda p: NFold(*p)),
+        st.tuples(st.integers(1, 3), sub).map(lambda p: HalfN(*p)),
+        st.tuples(st.lists(sub, max_size=2), sub).map(lambda p: Delta(EvSeq(tuple(p[0]), p[1]))),
+    )
+
+
+def _outcome(evaluator, t, env, carrier):
+    try:
+        return "value", carrier.format_element(evaluator(t, env, carrier))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    _core_terms(3),
+    st.sampled_from(sorted(_CARRIER_ELEMENTS)),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_evaluate_core_agrees_with_recursive_oracle(t, spec, picks, bind_z):
+    carrier = carrier_from_spec(spec)
+    names = ["x", "y", "z"] if bind_z else ["x", "y"]
+    env = {v: carrier.parse_element(_CARRIER_ELEMENTS[spec][k]) for v, k in zip(names, picks)}
+    assert _outcome(evaluate_core, t, env, carrier) == _outcome(evaluate_by_recursion, t, env, carrier)
