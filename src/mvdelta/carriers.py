@@ -16,14 +16,19 @@ algebra, realised as the unit interval of the lexicographic group Z x Z
 with unit (1, 0).  Elements (0, k) with k >= 1 are the infinitesimals.
 
 A finite carrier is tabulated once per instance (:class:`FiniteTables`,
-``carrier.tables``): its elements are numbered and its own oplus, neg
-and order are read into integer tables, on which ideals, the radical
-and the infinitesimal test run.
+``carrier.tables``): its elements are numbered and its oplus, neg and
+order become integer tables, on which ideals, the radical and the
+infinitesimal test run.  A chain's tables are read off its own checked
+operations; a product's are composed from its factors' tables by
+mixed-radix index arithmetic, with no call to the product's operations.
+The tables are refused before any work when they would pass
+``TABLE_ENTRY_BUDGET`` entries (:class:`TableBudgetExceeded`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +43,8 @@ __all__ = [
     "ConstUnsupported",
     "Carrier",
     "FiniteTables",
+    "TABLE_ENTRY_BUDGET",
+    "TableBudgetExceeded",
     "UnitInterval",
     "FiniteChain",
     "ProductAlg",
@@ -72,6 +79,14 @@ class DeltaUnsupported(CarrierError):
 
 class ConstUnsupported(CarrierError):
     pass
+
+
+# |A|^2 table entries at most: 1,024 elements.
+TABLE_ENTRY_BUDGET = 2**20
+
+
+class TableBudgetExceeded(CarrierError):
+    """A finite carrier too large to tabulate, refused before any element is listed."""
 
 
 class Carrier(ABC):
@@ -163,10 +178,37 @@ class Carrier(ABC):
     def elements(self) -> list:
         raise CarrierError(f"carrier {self.spec} is not enumerable")
 
+    def size(self) -> int:
+        """Number of elements, computed without listing them."""
+        raise CarrierError(f"carrier {self.spec} is not enumerable")
+
     @cached_property
     def tables(self) -> FiniteTables:
-        """Integer operation tables, built on first use and kept by this instance."""
-        return FiniteTables(self)
+        """Integer operation tables, built on first use and kept by this
+        instance, after the size has passed the table budget."""
+        size = self.size()
+        if size * size > TABLE_ENTRY_BUDGET:
+            raise TableBudgetExceeded(
+                f"table budget exceeded: {self.spec} has {size} elements, "
+                f"over the limit of {math.isqrt(TABLE_ENTRY_BUDGET)} "
+                f"({TABLE_ENTRY_BUDGET} table entries)"
+            )
+        return self._tabulate()
+
+    def _tabulate(self) -> FiniteTables:
+        """Read the tables off this carrier's own operations (|A|^2 calls
+        each of oplus and leq), so every check run on them still tests
+        those operations."""
+        elems = self.elements()
+        index = {x: i for i, x in enumerate(elems)}
+        oplus, leq = self.oplus, self.leq
+        return FiniteTables(
+            elems,
+            index[self.zero()],
+            [index[self.neg(x)] for x in elems],
+            [[index[oplus(x, y)] for y in elems] for x in elems],
+            [[leq(x, y) for y in elems] for x in elems],
+        )
 
     # Element text I/O for reports and the CLI.
 
@@ -272,6 +314,9 @@ class FiniteChain(Carrier):
     def elements(self) -> list[int]:
         return list(range(self.n + 1))
 
+    def size(self) -> int:
+        return self.n + 1
+
     def format_element(self, x) -> str:
         self._check(x)
         if self.n == 0:
@@ -341,6 +386,31 @@ class ProductAlg(Carrier):
 
     def elements(self) -> list[tuple]:
         return [tuple(t) for t in itertools.product(*(f.elements() for f in self.factors))]
+
+    def size(self) -> int:
+        return math.prod(f.size() for f in self.factors)
+
+    def _tabulate(self) -> FiniteTables:
+        """Compose the factors' tables, last factor fastest, as in
+        ``elements()``: element (u, a) of A x F gets index u*|F| + a."""
+        first, *rest = (f.tables for f in self.factors)
+        elems = [(x,) for x in first.elements]
+        zero, neg, oplus, leq = first.zero, first.neg, first.oplus, first.leq
+        for f in rest:
+            q = len(f.elements)
+            # Each index is looked up in ids, so the |A|^2 entries share
+            # one int object per index instead of each holding a new one.
+            ids = list(range(len(elems) * q))
+            elems = [x + (y,) for x in elems for y in f.elements]
+            zero = zero * q + f.zero
+            neg = [ids[u * q + a] for u in neg for a in f.neg]
+            oplus = [
+                [ids[v + b] for v in scaled for b in row_f]
+                for scaled in ([u * q for u in row] for row in oplus)
+                for row_f in f.oplus
+            ]
+            leq = [[s and t for s in row for t in row_f] for row in leq for row_f in f.leq]
+        return FiniteTables(elems, zero, neg, oplus, leq)
 
     def format_element(self, x) -> str:
         self._check(x)
@@ -501,26 +571,24 @@ def carrier_from_spec(spec: str) -> Carrier:
 class FiniteTables:
     """A finite carrier tabulated on the integers 0..|A|-1.
 
-    Element ``i`` is ``elements[i]``, in the order of ``carrier.elements()``.
-    ``oplus[i][j]``, ``neg[i]`` and ``leq[i][j]`` are read off the
-    carrier's own operations (|A|^2 calls each of oplus and leq), so every
-    check run on the tables still tests those operations.  ``below[i]``
-    is the down-set of ``i``, a column of ``leq``.  ``ideals`` holds the
-    verified ideal list once :func:`enumerate_ideals` has computed it.
+    Element ``i`` is ``elements[i]``, in the order of ``carrier.elements()``,
+    and ``zero``, ``neg[i]``, ``oplus[i][j]`` and ``leq[i][j]`` are the
+    operations on those numbers.  A chain's tables are read off its own
+    operations; a product's are composed from its factors' tables
+    (``Carrier._tabulate``).  ``below[i]`` is the down-set of ``i``, a
+    column of ``leq``.  ``ideals`` holds the verified ideal list once
+    :func:`enumerate_ideals` has computed it.
     """
 
-    def __init__(self, carrier: Carrier):
-        elems = carrier.elements()
-        index = {x: i for i, x in enumerate(elems)}
-        size = range(len(elems))
-        self.elements = elems
-        self.index = index
-        oplus, leq = carrier.oplus, carrier.leq
-        self.zero = index[carrier.zero()]
-        self.neg = [index[carrier.neg(x)] for x in elems]
-        self.oplus = [[index[oplus(x, y)] for y in elems] for x in elems]
-        self.leq = [[leq(x, y) for y in elems] for x in elems]
-        self.below = [frozenset(j for j in size if self.leq[j][i]) for i in size]
+    def __init__(self, elements: list, zero: int, neg: list, oplus: list, leq: list):
+        size = range(len(elements))
+        self.elements = elements
+        self.index = {x: i for i, x in enumerate(elements)}
+        self.zero = zero
+        self.neg = neg
+        self.oplus = oplus
+        self.leq = leq
+        self.below = [frozenset(j for j in size if leq[j][i]) for i in size]
         self.ideals: list[frozenset] | None = None
 
     def subset(self, positions) -> frozenset:

@@ -15,7 +15,9 @@ Carrier specs: ``chain:n``, ``chang``, ``prod(...)``, ``pl``, and
 
 Exit codes: 0 success/valid, 1 counterexample or obstruction found,
 2 usage or parse error (also a value too long to print), 3 budget
-exceeded (also a term nested past the interpreter's recursion limit).
+exceeded (also a term nested past the interpreter's recursion limit,
+and a finite carrier of more than 1,024 elements, whose operation
+tables would pass ``carriers.TABLE_ENTRY_BUDGET``).
 ``nfold`` and ``halfn`` are evaluated without unrolling their counts,
 so ``nfold(100000000, x)`` answers at once.  All rationals print as
 ``p/q``; identical invocations produce identical output.
@@ -34,6 +36,7 @@ from .carriers import (
     CarrierError,
     ChangAlgebra,
     FiniteChain,
+    TableBudgetExceeded,
     _split_top_level,
     carrier_from_spec,
     halving_witness,
@@ -267,12 +270,14 @@ def _cmd_isbell(args, out) -> int:
 
 def _cmd_radical(args, out) -> int:
     carrier = carrier_from_spec(args.carrier)
-    rad = radical(carrier)
-    print(f"Rad({carrier.spec}) = {rad.description}", file=out)
+    header = f"Rad({carrier.spec}) = {radical(carrier).description}"
     if args.element is None:
+        print(header, file=out)
         return EXIT_OK
+    # Parse and test the element before printing, so a usage error prints nothing.
     x = carrier.parse_element(args.element)
     cert = is_infinitesimal(carrier, x)
+    print(header, file=out)
     print(
         f"infinitesimal({carrier.format_element(x)}): {cert.verdict} ({cert.reason})",
         file=out,
@@ -348,7 +353,9 @@ def run(argv, out=None) -> int:
     applied 1,200 times, ends in one ``error:`` line and exit 3 instead
     of a traceback.  An unbound variable, and a value holding a number
     with more digits than Python converts to text (``halfn(100000, x)``
-    at ``x=1/3``), each end in one ``error:`` line and exit 2.
+    at ``x=1/3``), each end in one ``error:`` line and exit 2.  A finite
+    carrier past the table budget ends in one ``error:`` line naming the
+    budget, its size and the limit, and exit 3, before any table is built.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -358,6 +365,9 @@ def run(argv, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
+    except TableBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ParseError, CarrierError, UnboundVariable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,9 @@ pieces) whose guard holds a constraint together with its complement,
 happens when ``expand`` copies a shared subterm and so reaches one split
 twice.  Every dropped piece is empty, so the pieces still cover the box
 and ``Valid`` stays complete; every witness satisfies its pair's guards,
-so every ``Counterexample`` replays.
+so every ``Counterexample`` replays.  A pair whose difference
+``lhs - rhs`` is a constant <= 0 is skipped before its guards are
+merged: ``lhs - rhs > 0`` fails everywhere on it.
 
 Validity on the cube settles validity in every MV-algebra (the unit
 interval generates the variety), and for the implemented
@@ -262,10 +264,13 @@ def _decide_leq_pieces(
         return LimitExceeded(BudgetReport(budget, f"{pairs} piece pairs exceed the budget"))
     for gl, al in lhs_pieces:
         for gr, ar in rhs_pieces:
+            diff = al.sub(ar)
+            if diff.is_ground() and diff.constant <= 0:
+                continue  # lhs - rhs > 0 fails everywhere
             guard = _combine(gl, gr, None)
             if guard is None:
                 continue
-            system = [*box, *guard, Constraint(al.sub(ar), strict=True)]
+            system = [*box, *guard, Constraint(diff, strict=True)]
             try:
                 witness = linarith.feasible(system)
             except BudgetExceeded as exc:

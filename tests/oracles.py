@@ -7,6 +7,7 @@ one of the two.
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from mvdelta import terms
 from mvdelta.carriers import Q01_CARRIER, Carrier
@@ -75,6 +76,24 @@ def halve_n_by_loop(carrier: Carrier, n: int, x):
     for _ in range(n):
         x = carrier.delta([x], carrier.zero())
     return x
+
+
+def tables_by_operations(carrier: Carrier) -> SimpleNamespace:
+    """The fields of ``carrier.tables``, read off the carrier's own
+    operations: |A|^2 calls each of oplus and leq."""
+    elems = carrier.elements()
+    index = {x: i for i, x in enumerate(elems)}
+    size = range(len(elems))
+    leq = [[carrier.leq(x, y) for y in elems] for x in elems]
+    return SimpleNamespace(
+        elements=elems,
+        index=index,
+        zero=index[carrier.zero()],
+        neg=[index[carrier.neg(x)] for x in elems],
+        oplus=[[index[carrier.oplus(x, y)] for y in elems] for x in elems],
+        leq=leq,
+        below=[frozenset(j for j in size if leq[j][i]) for i in size],
+    )
 
 
 def brute_force_ideals(carrier: Carrier) -> list[frozenset]:

@@ -15,6 +15,7 @@ from mvdelta.carriers import (
     DeltaUnsupported,
     FiniteChain,
     ProductAlg,
+    TableBudgetExceeded,
     carrier_from_spec,
     enumerate_ideals,
     halving_witness,
@@ -27,7 +28,7 @@ from mvdelta.carriers import (
 from mvdelta.plfunc import PL_CARRIER, pl_identity, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.terms import evaluate, free_vars
-from oracles import brute_force_ideals, halve_n_by_loop, nfold_by_loop
+from oracles import brute_force_ideals, halve_n_by_loop, nfold_by_loop, tables_by_operations
 
 # Every product of chains with at most 8 elements, up to the trivial chain.
 SMALL_FINITE_SPECS = [f"chain:{n}" for n in range(1, 8)] + [
@@ -359,3 +360,58 @@ def test_halve_n_default_is_one_delta_call():
     assert calls == [5]
     with pytest.raises(ValueError):
         Carrier.halve_n(carrier, 0, Q01(1, 3))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chain:0",
+        "chain:7",
+        "prod(chain:0,chain:2)",
+        "prod(chain:4)",
+        "prod(chain:1,prod(chain:2,chain:2))",
+        "prod(" + ",".join(["chain:2"] * 5) + ")",
+    ],
+)
+def test_tables_agree_with_the_operations(spec):
+    tables = carrier_from_spec(spec).tables
+    want = tables_by_operations(carrier_from_spec(spec))
+    for field in ("elements", "index", "zero", "neg", "oplus", "leq", "below"):
+        assert getattr(tables, field) == getattr(want, field), field
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "admitted, refused",
+    [
+        (FiniteChain(1023), FiniteChain(1024)),
+        (
+            ProductAlg((FiniteChain(1), FiniteChain(511))),
+            ProductAlg((FiniteChain(4), ProductAlg((FiniteChain(0), FiniteChain(204))))),
+        ),
+    ],
+    ids=["chain", "product"],
+)
+def test_table_budget_admits_1024_elements_and_refuses_1025(monkeypatch, admitted, refused):
+    def build(self):
+        raise _Built(self.spec)
+
+    def listed(self):
+        raise AssertionError(f"{self.spec} listed its elements")
+
+    for cls in (Carrier, ProductAlg):
+        monkeypatch.setattr(cls, "_tabulate", build)
+    for cls in (FiniteChain, ProductAlg):
+        monkeypatch.setattr(cls, "elements", listed)
+    assert admitted.size() == 1024 and refused.size() == 1025
+    with pytest.raises(_Built):
+        admitted.tables
+    with pytest.raises(TableBudgetExceeded) as exc:
+        refused.tables
+    assert str(exc.value) == (
+        f"table budget exceeded: {refused.spec} has 1025 elements, "
+        "over the limit of 1024 (1048576 table entries)"
+    )

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -194,6 +195,39 @@ def test_radical_subcommand():
     assert code == 1 and "False" in text
     code, text = invoke("radical", "--carrier", "pl")
     assert code == 0 and "semisimple" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radical", "--carrier", "chain:3", "--element", "5"),
+        ("radical", "--carrier", "pl", "--element", "0"),
+    ],
+    ids=["outside_unit_interval", "no_infinitesimal_test"],
+)
+def test_radical_usage_error_prints_nothing(capsys, argv):
+    code, text = invoke(*argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (("spectrum", "--algebra", "prod(chain:100,chain:100,chain:100)"), 1030301),
+        (("radical", "--carrier", "chain:100000"), 100001),
+    ],
+    ids=["spectrum_product", "radical_chain"],
+)
+def test_oversize_carrier_exits_on_the_table_budget(capsys, argv, size):
+    start = time.perf_counter()
+    code, text = invoke(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: table budget exceeded: ") and len(err.splitlines()) == 1
+    assert f"{size} elements" in err and "limit of 1024" in err
 
 
 def test_byte_identical_reruns():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdelta import corpus
+from mvdelta import corpus, linarith
 from mvdelta.carriers import Q01_CARRIER
 from mvdelta.decide import (
     Counterexample,
@@ -279,6 +279,15 @@ def test_decide_characteristic_law_valid():
     lhs = parse("oplus(neg(oplus(neg(x), y)), y)")
     rhs = parse("oplus(neg(oplus(neg(y), x)), x)")
     assert isinstance(decide_eq(lhs, rhs), Valid)
+
+
+def test_constant_nonpositive_differences_need_no_feasibility_call(monkeypatch):
+    # Every piece pair of oplus(x, y) against oplus(y, x) differs by a
+    # constant <= 0 or has an empty merged guard.
+    calls = []
+    monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(system))
+    assert isinstance(decide_eq(parse("oplus(x, y)"), parse("oplus(y, x)")), Valid)
+    assert calls == []
 
 
 def test_decide_idempotence_counterexample():
