@@ -9,12 +9,19 @@ recovers the original algebra.  This module implements the desk-scale
 mechanics: the monoid operations, formal differences with cross-sum
 equality, the embedding ``a -> [(a)]``, and two exhaustive round-trip
 verifications for finite carriers.
+
+The round trips run on a finite carrier's integer tables: a good
+sequence is a tuple of table indices, odot is derived from the tables'
+neg and oplus, and each monoid sum is computed and checked once per
+call.  The convolution formula and the goodness test are written once,
+for any carrier, and serve elements and table indices alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .carriers import Carrier, CarrierMismatch, FiniteChain
 
@@ -78,6 +85,13 @@ def _trim(carrier: Carrier, entries) -> tuple:
     return tuple(entries)
 
 
+def _checked(K: Carrier, out: list, what: str) -> tuple:
+    ok, index = is_good(K, out)
+    if not ok:
+        raise AssertionError(f"{what} at index {index}")
+    return _trim(K, out)
+
+
 def good_seq(carrier: Carrier, entries) -> GoodSeq:
     """Validated, trailing-zero-trimmed good sequence."""
     ok, index = is_good(carrier, entries)
@@ -94,52 +108,50 @@ def _same_carrier(a: GoodSeq, b: GoodSeq) -> Carrier:
     return a.carrier
 
 
-def _entry(carrier: Carrier, entries: tuple, i: int):
-    return entries[i] if 0 <= i < len(entries) else carrier.zero()
+def _sum(K: Carrier, a: tuple, b: tuple) -> tuple:
+    """Monoid sum c_i = a_i + (a_{i-1} . b_1) + ... + (a_1 . b_{i-1}) + b_i,
+    written with oplus for + and odot for dots, of two entry tuples over K
+    (a carrier, or the indices of one); the result is checked good."""
+    zero = K.zero()
+    a, b = (*a, *[zero] * len(b)), (*b, *[zero] * len(a))
+    oplus, odot = K.oplus, K.odot
+    out = []
+    for i in range(len(a)):
+        acc = oplus(a[i], b[i])
+        for j in range(i):
+            acc = oplus(acc, odot(a[i - j - 1], b[j]))
+        out.append(acc)
+    return _checked(K, out, "monoid sum produced a non-good sequence")
 
 
 def gs_add(a: GoodSeq, b: GoodSeq) -> GoodSeq:
-    """Monoid sum c_i = a_i + (a_{i-1} . b_1) + ... + (a_1 . b_{i-1}) + b_i,
-    written with oplus for + and odot for dots; the result is checked good."""
+    """Monoid sum of two good sequences over one carrier (see ``_sum``)."""
     K = _same_carrier(a, b)
-    length = len(a.entries) + len(b.entries)
-    out = []
-    for i in range(1, length + 1):
-        acc = K.oplus(_entry(K, a.entries, i - 1), _entry(K, b.entries, i - 1))
-        for j in range(1, i):
-            acc = K.oplus(acc, K.odot(_entry(K, a.entries, i - j - 1), _entry(K, b.entries, j - 1)))
-        out.append(acc)
-    ok, index = is_good(K, out)
-    if not ok:
-        raise AssertionError(f"monoid sum produced a non-good sequence at index {index}")
-    return GoodSeq(K, _trim(K, out))
+    return GoodSeq(K, _sum(K, a.entries, b.entries))
+
+
+def _leq(K: Carrier, a: tuple, b: tuple) -> bool:
+    return all(K.leq(x, y) for x, y in zip_longest(a, b, fillvalue=K.zero()))
 
 
 def gs_leq(a: GoodSeq, b: GoodSeq) -> bool:
     """Componentwise order after zero-padding the shorter sequence."""
-    K = _same_carrier(a, b)
-    length = max(len(a.entries), len(b.entries))
-    return all(
-        K.leq(_entry(K, a.entries, i), _entry(K, b.entries, i)) for i in range(length)
-    )
+    return _leq(_same_carrier(a, b), a.entries, b.entries)
 
 
-def _pointwise(a: GoodSeq, b: GoodSeq, op) -> GoodSeq:
-    K = _same_carrier(a, b)
-    length = max(len(a.entries), len(b.entries))
-    out = [op(_entry(K, a.entries, i), _entry(K, b.entries, i)) for i in range(length)]
-    ok, index = is_good(K, out)
-    if not ok:
-        raise AssertionError(f"pointwise lattice operation broke goodness at index {index}")
-    return GoodSeq(K, _trim(K, out))
+def _pointwise(K: Carrier, a: tuple, b: tuple, op) -> tuple:
+    out = [op(x, y) for x, y in zip_longest(a, b, fillvalue=K.zero())]
+    return _checked(K, out, "pointwise lattice operation broke goodness")
 
 
 def gs_join(a: GoodSeq, b: GoodSeq) -> GoodSeq:
-    return _pointwise(a, b, a.carrier.join)
+    K = _same_carrier(a, b)
+    return GoodSeq(K, _pointwise(K, a.entries, b.entries, K.join))
 
 
 def gs_meet(a: GoodSeq, b: GoodSeq) -> GoodSeq:
-    return _pointwise(a, b, a.carrier.meet)
+    K = _same_carrier(a, b)
+    return GoodSeq(K, _pointwise(K, a.entries, b.entries, K.meet))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,29 +219,55 @@ def xi_meet(x: XiElem, y: XiElem) -> XiElem:
     )
 
 
-def enumerate_good_seqs(carrier: Carrier, max_len: int) -> list[GoodSeq]:
-    """All good sequences of length <= max_len over a finite carrier.
+class _Indices(Carrier):
+    """A finite carrier on the indices 0..|A|-1 of its tables: zero, oplus,
+    neg and leq are table lookups, and odot, join and meet are derived
+    from them by :class:`Carrier`, as they are on the carrier itself."""
 
-    Built by extending shorter good sequences; trailing zeros are never
-    appended (after a zero entry, goodness forces zeros forever), so
-    each sequence is produced exactly once in trimmed form.
-    """
+    spec = "indices"
+
+    def __init__(self, tables):
+        self._zero, self._oplus, self._neg, self._leq = (
+            tables.zero, tables.oplus, tables.neg, tables.leq)
+
+    def zero(self) -> int:
+        return self._zero
+
+    def oplus(self, i: int, j: int) -> int:
+        return self._oplus[i][j]
+
+    def neg(self, i: int) -> int:
+        return self._neg[i]
+
+    def leq(self, i: int, j: int) -> bool:
+        return self._leq[i][j]
+
+    def size(self) -> int:
+        return len(self._neg)
+
+
+def _good_seqs(K: _Indices, max_len: int) -> list[tuple]:
+    """All good index sequences of length <= max_len, built by extending
+    shorter ones; trailing zeros are never appended (after a zero entry,
+    goodness forces zeros forever), so each comes once in trimmed form."""
+    nonzero = [e for e in range(K.size()) if e != K.zero()]
+    out, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [s + (e,) for s in frontier for e in nonzero if is_good(K, s[-1:] + (e,))[0]]
+        out += frontier
+    return out
+
+
+def enumerate_good_seqs(carrier: Carrier, max_len: int) -> list[GoodSeq]:
+    """All good sequences of length <= max_len over a finite carrier,
+    enumerated on its tables and mapped back to elements."""
     if not carrier.is_finite():
         raise CarrierMismatch(f"enumeration needs a finite carrier, not {carrier.spec}")
-    zero = carrier.zero()
-    nonzero = [e for e in carrier.elements() if not carrier.eq(e, zero)]
-    out = [GoodSeq(carrier, ())]
-    frontier = [()]
-    for _ in range(max_len):
-        grown = []
-        for entries in frontier:
-            for e in nonzero:
-                if entries and not carrier.eq(carrier.oplus(entries[-1], e), entries[-1]):
-                    continue
-                grown.append(entries + (e,))
-        out.extend(GoodSeq(carrier, entries) for entries in grown)
-        frontier = grown
-    return out
+    elements = carrier.tables.elements
+    return [
+        GoodSeq(carrier, tuple(map(elements.__getitem__, s)))
+        for s in _good_seqs(_Indices(carrier.tables), max_len)
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,50 +291,59 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     zero and the unit, groups them into semantic classes, and checks
     that the embedding a -> [(a)] is a bijection onto those classes
     carrying oplus to truncated sum and neg to unit-minus.
-    """
-    elems = carrier.elements()
-    unit = xi_unit(carrier)
-    zero = xi_zero(carrier)
-    seqs = enumerate_good_seqs(carrier, max_len)
 
-    classes: list[XiElem] = []
+    On the carrier's tables a formal difference is a (pos, neg) pair of
+    index tuples, and each monoid sum is computed once per call.
+    """
+    K = _Indices(carrier.tables)
+    size = range(K.size())
+    sums: dict[tuple, tuple] = {}
+
+    def add(a: tuple, b: tuple) -> tuple:
+        s = sums.get((a, b))
+        if s is None:
+            s = sums[a, b] = _sum(K, a, b)
+        return s
+
+    # xi_eq, xi_leq and xi_meet on (pos, neg) pairs.
+    def eq(x, y) -> bool:
+        return add(x[0], y[1]) == add(y[0], x[1])
+
+    def leq(x, y) -> bool:
+        return _leq(K, add(x[0], y[1]), add(y[0], x[1]))
+
+    def meet(x, y):
+        return _pointwise(K, add(x[0], y[1]), add(y[0], x[1]), K.meet), add(x[1], y[1])
+
+    images = [(_trim(K, [a]), ()) for a in size]
+    unit, zero = images[K.one()], ((), ())
+    seqs = _good_seqs(K, max_len)
+
+    classes: list[tuple] = []
     for pos in seqs:
         for neg in seqs:
-            x = XiElem(pos, neg)
-            if not (xi_leq(zero, x) and xi_leq(x, unit)):
+            x = (pos, neg)
+            if not (leq(zero, x) and leq(x, unit)):
                 continue
-            if not any(xi_eq(x, c) for c in classes):
+            if not any(eq(x, c) for c in classes):
                 classes.append(x)
 
-    images = [xi_from_element(carrier, a) for a in elems]
-    injective = all(
-        not xi_eq(images[i], images[j])
-        for i in range(len(elems))
-        for j in range(i + 1, len(elems))
-    )
-    surjective = all(any(xi_eq(c, img) for img in images) for c in classes)
-    bijective = injective and surjective and len(classes) == len(elems)
+    injective = all(not eq(images[i], images[j]) for i in size for j in range(i + 1, len(size)))
+    surjective = all(any(eq(c, img) for img in images) for c in classes)
+    bijective = injective and surjective and len(classes) == len(size)
 
-    def truncated_sum(x: XiElem, y: XiElem) -> XiElem:
-        return xi_meet(xi_add(x, y), unit)
+    def truncated_sum(x, y):  # xi_meet(xi_add(x, y), unit)
+        return meet((add(x[0], y[0]), add(x[1], y[1])), unit)
 
     preserves_oplus = all(
-        xi_eq(
-            xi_from_element(carrier, carrier.oplus(a, b)),
-            truncated_sum(xi_from_element(carrier, a), xi_from_element(carrier, b)),
-        )
-        for a in elems
-        for b in elems
+        eq(images[K.oplus(a, b)], truncated_sum(images[a], images[b])) for a in size for b in size
     )
-    preserves_neg = all(
-        xi_eq(
-            xi_from_element(carrier, carrier.neg(a)),
-            xi_sub(unit, xi_from_element(carrier, a)),
-        )
-        for a in elems
+    preserves_neg = all(  # images[neg a] against xi_sub(unit, images[a])
+        eq(images[K.neg(a)], (add(unit[0], x[1]), add(unit[1], x[0])))
+        for a, x in enumerate(images)
     )
     return GammaReport(
-        carrier.spec, len(elems), len(classes), bijective, preserves_oplus, preserves_neg
+        carrier.spec, len(size), len(classes), bijective, preserves_oplus, preserves_neg
     )
 
 
@@ -320,17 +367,19 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     and checks that the sum is a bijection onto the multiples of 1/n in
     [0, bound] and turns monoid addition into rational addition whenever
     the result stays inside the window.
+
+    On the chain's tables index k is the element k/n, so entry sums are
+    numerators over n, compared with cap = floor(bound * n).
     """
     if n < 1:
         raise ValueError(f"chain order must be >= 1, got {n}")
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    chain = FiniteChain(n)
+    K = _Indices(FiniteChain(n).tables)
+    cap = bound.numerator * n // bound.denominator
 
-    seqs: list[GoodSeq] = []
-    frontier: list[tuple] = [()]
-    seqs.append(GoodSeq(chain, ()))
+    seqs, frontier = [()], [()]
     while frontier:
         grown = []
         for entries in frontier:
@@ -338,28 +387,17 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
                 continue  # goodness forces zeros after a non-top entry
             for e in range(1, n + 1):
                 candidate = entries + (e,)
-                ok, _ = is_good(chain, candidate)
-                if not ok:
-                    continue
-                if Fraction(sum(candidate), n) > bound:
-                    continue
-                grown.append(candidate)
-        seqs.extend(GoodSeq(chain, entries) for entries in grown)
+                if is_good(K, candidate)[0] and sum(candidate) <= cap:
+                    grown.append(candidate)
+        seqs.extend(grown)
         frontier = grown
 
-    def entry_sum(seq: GoodSeq) -> Fraction:
-        return Fraction(sum(seq.entries), n)
-
-    sums = [entry_sum(s) for s in seqs]
-    expected = {Fraction(k, n) for k in range(int(bound * n) + 1) if Fraction(k, n) <= bound}
-    sums_bijective = len(sums) == len(set(sums)) and set(sums) == expected
+    sums = [sum(s) for s in seqs]
+    sums_bijective = len(sums) == len(set(sums)) and set(sums) == set(range(cap + 1))
 
     additive = True
-    for a in seqs:
-        for b in seqs:
-            total = entry_sum(a) + entry_sum(b)
-            if total > bound:
-                continue
-            if entry_sum(gs_add(a, b)) != total:
+    for a, sa in zip(seqs, sums):
+        for b, sb in zip(seqs, sums):
+            if sa + sb <= cap and sum(_sum(K, a, b)) != sa + sb:
                 additive = False
     return ChainIsoReport(n, bound, len(seqs), sums_bijective, additive)

@@ -76,13 +76,14 @@ def _is_rank_hom(tables: FiniteTables, rank: list[int], m: int) -> bool:
     rank[x oplus y] = min(rank[x] + rank[y], m) for all x, y."""
     if rank[tables.zero] != 0:
         return False
+    capped = [min(k, m) for k in range(2 * m + 1)]
     for x, rx in enumerate(rank):
         if rank[tables.neg[x]] != m - rx:
             return False
-        row = tables.oplus[x]
-        for y, ry in enumerate(rank):
-            if rank[row[y]] != min(rx + ry, m):
-                return False
+        # One comparison per row: capped[rx:][ry] is min(rx + ry, m).
+        row = map(rank.__getitem__, tables.oplus[x])
+        if list(row) != list(map(capped[rx:].__getitem__, rank)):
+            return False
     return True
 
 

@@ -7,11 +7,28 @@ one of the two.
 
 import itertools
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 from mvdelta import terms
-from mvdelta.carriers import Q01_CARRIER, Carrier
+from mvdelta.carriers import Q01_CARRIER, Carrier, CarrierMismatch, FiniteChain
 from mvdelta.decide import Counterexample
+from mvdelta.goodseq import (
+    ChainIsoReport,
+    GammaReport,
+    GoodSeq,
+    XiElem,
+    gs_add,
+    is_good,
+    xi_add,
+    xi_eq,
+    xi_from_element,
+    xi_leq,
+    xi_meet,
+    xi_sub,
+    xi_unit,
+    xi_zero,
+)
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import Hom, _hom_sort_key
 from mvdelta.terms import Const, Delta, EvSeq, HalfN, Neg, NFold, Oplus, Term, UnboundVariable, Var
@@ -181,3 +198,139 @@ def brute_force_homs(carrier: Carrier) -> list[Hom]:
         if propagate(base, m):
             search(base, m)
     return sorted(found.values(), key=lambda h: _hom_sort_key(carrier, h))
+
+
+# The good-sequence round trips as they ran on the carrier's own
+# operations, one checked oplus/odot call per term of every monoid sum,
+# with no sum kept; goodseq runs them on the carrier's tables.
+
+
+def enumerate_good_seqs_by_operations(carrier: Carrier, max_len: int) -> list[GoodSeq]:
+    """All good sequences of length <= max_len over a finite carrier.
+
+    Built by extending shorter good sequences; trailing zeros are never
+    appended (after a zero entry, goodness forces zeros forever), so
+    each sequence is produced exactly once in trimmed form.
+    """
+    if not carrier.is_finite():
+        raise CarrierMismatch(f"enumeration needs a finite carrier, not {carrier.spec}")
+    zero = carrier.zero()
+    nonzero = [e for e in carrier.elements() if not carrier.eq(e, zero)]
+    out = [GoodSeq(carrier, ())]
+    frontier = [()]
+    for _ in range(max_len):
+        grown = []
+        for entries in frontier:
+            for e in nonzero:
+                if entries and not carrier.eq(carrier.oplus(entries[-1], e), entries[-1]):
+                    continue
+                grown.append(entries + (e,))
+        out.extend(GoodSeq(carrier, entries) for entries in grown)
+        frontier = grown
+    return out
+
+
+def gamma_of_xi_by_operations(carrier: Carrier, max_len: int = 3) -> GammaReport:
+    """Round trip through the enveloping group of a finite carrier.
+
+    Enumerates formal differences of short good sequences lying between
+    zero and the unit, groups them into semantic classes, and checks
+    that the embedding a -> [(a)] is a bijection onto those classes
+    carrying oplus to truncated sum and neg to unit-minus.
+    """
+    elems = carrier.elements()
+    unit = xi_unit(carrier)
+    zero = xi_zero(carrier)
+    seqs = enumerate_good_seqs_by_operations(carrier, max_len)
+
+    classes: list[XiElem] = []
+    for pos in seqs:
+        for neg in seqs:
+            x = XiElem(pos, neg)
+            if not (xi_leq(zero, x) and xi_leq(x, unit)):
+                continue
+            if not any(xi_eq(x, c) for c in classes):
+                classes.append(x)
+
+    images = [xi_from_element(carrier, a) for a in elems]
+    injective = all(
+        not xi_eq(images[i], images[j])
+        for i in range(len(elems))
+        for j in range(i + 1, len(elems))
+    )
+    surjective = all(any(xi_eq(c, img) for img in images) for c in classes)
+    bijective = injective and surjective and len(classes) == len(elems)
+
+    def truncated_sum(x: XiElem, y: XiElem) -> XiElem:
+        return xi_meet(xi_add(x, y), unit)
+
+    preserves_oplus = all(
+        xi_eq(
+            xi_from_element(carrier, carrier.oplus(a, b)),
+            truncated_sum(xi_from_element(carrier, a), xi_from_element(carrier, b)),
+        )
+        for a in elems
+        for b in elems
+    )
+    preserves_neg = all(
+        xi_eq(
+            xi_from_element(carrier, carrier.neg(a)),
+            xi_sub(unit, xi_from_element(carrier, a)),
+        )
+        for a in elems
+    )
+    return GammaReport(
+        carrier.spec, len(elems), len(classes), bijective, preserves_oplus, preserves_neg
+    )
+
+
+def xi_chain_iso_by_operations(n: int, bound) -> ChainIsoReport:
+    """Sum-of-entries isomorphism for good sequences over the chain {0..n}/n.
+
+    Enumerates every good sequence with entry sum <= bound (a rational),
+    and checks that the sum is a bijection onto the multiples of 1/n in
+    [0, bound] and turns monoid addition into rational addition whenever
+    the result stays inside the window.
+    """
+    if n < 1:
+        raise ValueError(f"chain order must be >= 1, got {n}")
+    bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    chain = FiniteChain(n)
+
+    seqs: list[GoodSeq] = []
+    frontier: list[tuple] = [()]
+    seqs.append(GoodSeq(chain, ()))
+    while frontier:
+        grown = []
+        for entries in frontier:
+            if entries and entries[-1] != n:
+                continue  # goodness forces zeros after a non-top entry
+            for e in range(1, n + 1):
+                candidate = entries + (e,)
+                ok, _ = is_good(chain, candidate)
+                if not ok:
+                    continue
+                if Fraction(sum(candidate), n) > bound:
+                    continue
+                grown.append(candidate)
+        seqs.extend(GoodSeq(chain, entries) for entries in grown)
+        frontier = grown
+
+    def entry_sum(seq: GoodSeq) -> Fraction:
+        return Fraction(sum(seq.entries), n)
+
+    sums = [entry_sum(s) for s in seqs]
+    expected = {Fraction(k, n) for k in range(int(bound * n) + 1) if Fraction(k, n) <= bound}
+    sums_bijective = len(sums) == len(set(sums)) and set(sums) == expected
+
+    additive = True
+    for a in seqs:
+        for b in seqs:
+            total = entry_sum(a) + entry_sum(b)
+            if total > bound:
+                continue
+            if entry_sum(gs_add(a, b)) != total:
+                additive = False
+    return ChainIsoReport(n, bound, len(seqs), sums_bijective, additive)

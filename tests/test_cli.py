@@ -217,8 +217,9 @@ def test_radical_usage_error_prints_nothing(capsys, argv):
     [
         (("spectrum", "--algebra", "prod(chain:100,chain:100,chain:100)"), 1030301),
         (("radical", "--carrier", "chain:100000"), 100001),
+        (("gammaxi", "--chain", "3000", "--bound", "1"), 3001),
     ],
-    ids=["spectrum_product", "radical_chain"],
+    ids=["spectrum_product", "radical_chain", "gammaxi_chain"],
 )
 def test_oversize_carrier_exits_on_the_table_budget(capsys, argv, size):
     start = time.perf_counter()

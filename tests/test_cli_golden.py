@@ -3,9 +3,10 @@
 ``cli_golden.txt`` holds one JSON record per line: ``argv``, ``exit``,
 ``stdout`` and ``stderr`` of an in-process ``mvdelta`` run.  It covers
 the README examples (except ``axioms --carrier pl`` and ``isbell``, which
-are slow or write files), ``check`` of every corpus non-theorem, and
-``eval "join(x, join(y, x))"`` on each carrier.  An intended output
-change is edited into the file by hand.
+are slow or write files), ``check`` of every corpus non-theorem,
+``eval "join(x, join(y, x))"`` on each carrier, and ``gammaxi --chain n
+--bound b`` for n = 1..7 and b in {0, 1, 3}.  An intended output change
+is edited into the file by hand.
 """
 
 import contextlib

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,11 @@ from mvdelta.goodseq import (
     xi_negate,
     xi_unit,
     xi_zero,
+)
+from oracles import (
+    enumerate_good_seqs_by_operations,
+    gamma_of_xi_by_operations,
+    xi_chain_iso_by_operations,
 )
 
 L1 = FiniteChain(1)
@@ -182,3 +188,68 @@ def test_good_seqs_over_chain_shape():
         entries = seq.entries
         if entries:
             assert all(e == 3 for e in entries[:-1])
+
+
+# The table kernel against the round trips run on the carrier's own
+# operations (tests/oracles.py).
+
+GAMMA_GRID = [FiniteChain(n) for n in range(9)] + [
+    ProductAlg((FiniteChain(1), FiniteChain(2))),
+    ProductAlg((FiniteChain(1), FiniteChain(1), FiniteChain(1))),
+    ProductAlg((FiniteChain(2), FiniteChain(3))),
+]
+
+
+@pytest.mark.parametrize("carrier", GAMMA_GRID, ids=lambda c: c.spec)
+def test_gamma_of_xi_matches_operations_oracle(carrier):
+    assert gamma_of_xi(carrier) == gamma_of_xi_by_operations(carrier)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 4, Fraction(7, 3), Fraction(1, 2)])
+def test_xi_chain_iso_matches_operations_oracle(bound):
+    for n in range(1, 11):
+        assert xi_chain_iso(n, bound) == xi_chain_iso_by_operations(n, bound)
+
+
+@pytest.mark.parametrize("carrier", GAMMA_GRID[:5] + GAMMA_GRID[-3:], ids=lambda c: c.spec)
+def test_enumerate_good_seqs_matches_operations_oracle(carrier):
+    for max_len in range(4):
+        assert enumerate_good_seqs(carrier, max_len) == enumerate_good_seqs_by_operations(
+            carrier, max_len
+        )
+
+
+@dataclass(frozen=True)
+class WrongSum(FiniteChain):
+    """A chain with one oplus entry replaced."""
+
+    x: int = 0
+    y: int = 0
+    wrong: int = 0
+
+    def oplus(self, x, y):
+        right = super().oplus(x, y)
+        return self.wrong if (x, y) == (self.x, self.y) else right
+
+
+def _outcome(round_trip, carrier):
+    try:
+        return round_trip(carrier)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gamma_of_xi_tests_the_carriers_own_oplus(n):
+    # Every single-entry corruption of the chain's oplus: the table kernel
+    # reads the tables off that oplus, so it must give the oracle's report
+    # or raise the oracle's exception type.
+    outcomes = set()
+    for x in range(n + 1):
+        for y in range(n + 1):
+            for wrong in set(range(n + 1)) - {min(x + y, n)}:
+                carrier = WrongSum(n, x, y, wrong)
+                got = _outcome(gamma_of_xi, carrier)
+                assert got == _outcome(gamma_of_xi_by_operations, carrier), (x, y, wrong)
+                outcomes.add(got if isinstance(got, type) else got.ok)
+    assert {False, AssertionError} <= outcomes
