@@ -16,8 +16,9 @@ Carrier specs: ``chain:n``, ``chang``, ``prod(...)``, ``pl``, and
 Exit codes: 0 success/valid, 1 counterexample or obstruction found,
 2 usage or parse error (also a value too long to print), 3 budget
 exceeded (also a term nested past the interpreter's recursion limit,
-and a finite carrier of more than 1,024 elements, whose operation
-tables would pass ``carriers.TABLE_ENTRY_BUDGET``).
+a finite carrier of more than 1,024 elements, whose operation tables
+would pass ``carriers.TABLE_ENTRY_BUDGET``, and a ``gammaxi`` round
+trip estimated past ``goodseq.WORK_BUDGET``).
 ``nfold`` and ``halfn`` are evaluated without unrolling their counts,
 so ``nfold(100000000, x)`` answers at once.  All rationals print as
 ``p/q``; identical invocations produce identical output.
@@ -236,13 +237,13 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_gammaxi(args, out) -> int:
+    report = goodseq.gamma_of_xi(FiniteChain(args.chain))
     iso = goodseq.xi_chain_iso(args.chain, args.bound)
     print(
         f"chain {args.chain}, bound {args.bound}: {iso.sequences} good sequences; "
         f"sum-of-entries bijective: {iso.sums_bijective}; additive: {iso.additive}",
         file=out,
     )
-    report = goodseq.gamma_of_xi(FiniteChain(args.chain))
     print(
         f"unit interval of the enveloping group: {report.window_classes} classes "
         f"for {report.algebra_size} elements; bijective: {report.bijective}; "
@@ -354,8 +355,10 @@ def run(argv, out=None) -> int:
     of a traceback.  An unbound variable, and a value holding a number
     with more digits than Python converts to text (``halfn(100000, x)``
     at ``x=1/3``), each end in one ``error:`` line and exit 2.  A finite
-    carrier past the table budget ends in one ``error:`` line naming the
-    budget, its size and the limit, and exit 3, before any table is built.
+    carrier past the table budget, and a ``gammaxi`` round trip whose
+    estimated work passes the work budget, end in one ``error:`` line
+    naming the budget, the size or estimate and the limit, and exit 3,
+    before the work starts.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -365,7 +368,7 @@ def run(argv, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
-    except TableBudgetExceeded as exc:
+    except (TableBudgetExceeded, goodseq.WorkBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParseError, CarrierError, UnboundVariable, ValueError, OSError) as exc:

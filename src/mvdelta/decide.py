@@ -5,23 +5,27 @@ the unit cube: truncated addition splits into the two affine regimes
 ``x + y < 1`` and ``x + y >= 1``, negation maps a piece affinely, and
 an eventually-constant delta is a single affine combination (its value
 never reaches the truncation threshold).  ``compile_term`` produces the
-resulting guarded pieces; validity of ``lhs <= rhs`` on the cube then
-reduces to infeasibility of ``guard_l and guard_r and (lhs - rhs > 0)``
-for every pair of pieces, which Fourier-Motzkin decides exactly.
+resulting pieces, each a guard (a tuple of ``linarith`` constraints,
+the box included) and a form; validity of ``lhs <= rhs`` on the cube
+then reduces to infeasibility of ``guard_l and guard_r and
+(lhs - rhs > 0)`` for every pair of pieces, which Fourier-Motzkin
+decides exactly.
 
 The regimes are half-open, so the pieces of a term partition the box:
 every point lies in exactly one piece, whose form is the term's value
 there.  A regime whose strict interior misses the box is at most a face
 of it; on that face both regimes have the same value, so the split is
-not made and the other piece keeps the whole box.  Pieces (and pairs of
-pieces) whose guard holds a constraint together with its complement,
-``f > 0`` with ``-f >= 0``, are dropped without any arithmetic: this
-happens when ``expand`` copies a shared subterm and so reaches one split
-twice.  Every dropped piece is empty, so the pieces still cover the box
-and ``Valid`` stays complete; every witness satisfies its pair's guards,
-so every ``Counterexample`` replays.  A pair whose difference
-``lhs - rhs`` is a constant <= 0 is skipped before its guards are
-merged: ``lhs - rhs > 0`` fails everywhere on it.
+not made and the other piece keeps the whole box.  One merge of two
+guards and an extra constraint serves ``oplus`` (the regime),
+``nfold``, ``delta`` and each pair of the decision (``lhs - rhs > 0``).
+It drops the merge without any arithmetic when the extra constraint
+fails on the whole box, or when the guard holds a constraint together
+with its complement (constraints are normalised, so ``2x - 1 > 0``
+meets ``1/2 - x >= 0``): this happens when ``expand`` copies a shared
+subterm and so reaches one split twice.  Every dropped piece or pair is
+empty, so the pieces still cover the box and ``Valid`` stays complete;
+every witness satisfies its pair's guards, so every ``Counterexample``
+replays.
 
 Validity on the cube settles validity in every MV-algebra (the unit
 interval generates the variety), and for the implemented
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,8 +62,6 @@ from .rationals import Q01
 from .terms import CONST, DELTA, HALFN, NEG, NFOLD, OPLUS, VAR, Term
 
 __all__ = [
-    "Guard",
-    "Piece",
     "Valid",
     "Counterexample",
     "LimitExceeded",
@@ -76,20 +77,6 @@ __all__ = [
 DEFAULT_PIECE_BUDGET = 65536
 
 _ONE = AffineForm.const(1)
-
-
-@dataclass(frozen=True)
-class Guard:
-    """Conjunction of affine constraints; always includes the box 0 <= v <= 1
-    for every variable of the compiled term."""
-
-    constraints: tuple[Constraint, ...]
-
-
-@dataclass(frozen=True)
-class Piece:
-    guard: Guard
-    form: AffineForm
 
 
 @dataclass(frozen=True)
@@ -118,183 +105,146 @@ class LimitExceeded:
 Verdict = Valid | Counterexample | LimitExceeded
 
 
-class _PieceBudget(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
-        self.detail = detail
-
-
-def _feasible_over_box(constraints: Iterable[Constraint]) -> bool:
-    """Cheap local filter: drop a piece whose guard already fails over the box."""
-    for c in constraints:
-        hi = c.form.constant + sum(max(v, 0) for _, v in c.form.coeffs)
-        if hi < 0 or (hi == 0 and c.strict):
-            return False
-    return True
-
-
-def _trivial_over_box(c: Constraint) -> bool:
-    lo = c.form.constant + sum(min(v, 0) for _, v in c.form.coeffs)
-    return lo > 0 or (lo == 0 and not c.strict)
-
-
-def _complement(c: Constraint) -> Constraint:
-    """The constraint that holds exactly where c fails."""
-    return Constraint(c.form.scale(-1), not c.strict)
-
-
 def _combine(
     g1: tuple[Constraint, ...], g2: tuple[Constraint, ...], extra: Constraint | None
 ) -> tuple[Constraint, ...] | None:
     """Conjunction of two guards and an optional extra constraint, or None
-    when it is plainly empty: a constraint fails over the whole box, or
-    the guard holds a constraint together with its complement (one split
-    reached twice through a copied subterm)."""
+    when it is plainly empty: the extra constraint fails on the whole box,
+    or the guard holds a constraint together with its complement (one
+    split reached twice through a copied subterm).  An extra constraint
+    that holds on the whole box is left out."""
+    if extra is not None:
+        holds = extra.over_box()
+        if holds is False:
+            return None
+        if not holds:
+            g2 = (*g2, extra)
+    # Each input guard already passed these checks; only the added
+    # constraints can clash.
     seen = set(g1)
     added = []
     for c in g2:
         if c not in seen:
+            if c.complement() in seen:
+                return None
             added.append(c)
             seen.add(c)
-    if extra is not None and extra not in seen and not _trivial_over_box(extra):
-        added.append(extra)
-        seen.add(extra)
-    # Each input guard already passed these checks; only the added
-    # constraints can clash.
-    if any(_complement(c) in seen for c in added) or not _feasible_over_box(added):
-        return None
     return g1 + tuple(added)
 
 
-_RawPieces = list[tuple[tuple[Constraint, ...], AffineForm]]
+_Pieces = list[tuple[tuple[Constraint, ...], AffineForm]]
 
 
-def _oplus_pieces(lp: _RawPieces, rp: _RawPieces, budget: int) -> _RawPieces:
+def _oplus_regimes(al: AffineForm, ar: AffineForm):
+    """The half-open regimes of al + ar truncated at 1, as (extra, form)."""
+    total = al.add(ar)
+    excess = total.sub(_ONE)
+    if Constraint(excess, strict=True).over_box() is False:
+        # total <= 1 on the whole box: the above regime is at most a
+        # face, where it agrees with the below one.
+        return ((None, total),)
+    above = Constraint(excess)
+    return ((above.complement(), total), (above, _ONE))
+
+
+def _merge(left: _Pieces, right: _Pieces, regimes, budget: int) -> _Pieces:
+    """Every nonempty merge of a left and a right piece, split by regimes."""
     out = []
-    for gl, al in lp:
-        for gr, ar in rp:
-            total = al.add(ar)
-            excess = total.sub(_ONE)
-            if _feasible_over_box((Constraint(excess, strict=True),)):
-                regimes = (
-                    (Constraint(excess.scale(-1), strict=True), total),
-                    (Constraint(excess), _ONE),
-                )
-            else:
-                # total <= 1 on the whole box: the above regime is at
-                # most a face, where it agrees with the below one.
-                regimes = ((None, total),)
-            for extra, form in regimes:
+    for gl, al in left:
+        for gr, ar in right:
+            for extra, form in regimes(al, ar):
                 guard = _combine(gl, gr, extra)
                 if guard is not None:
                     out.append((guard, form))
             if len(out) > budget:
-                raise _PieceBudget(f"term compiles to more than {budget} pieces")
+                raise BudgetExceeded(f"term compiles to more than {budget} pieces")
     return out
 
 
-def _piece_lists(code, budget: int) -> list[_RawPieces]:
-    """The pieces of every slot of a ``terms.compile_core`` program, in order."""
-    lists: list[_RawPieces] = []
+def _piece_lists(code, budget: int) -> list[_Pieces]:
+    """The pieces of every slot of a ``terms.compile_core`` program, in
+    order; every guard starts with the box of the program's variables."""
+    box = tuple(linarith.box_constraints(name for op, name, _ in code if op == VAR))
+    lists: list[_Pieces] = []
     for op, a, b in code:
         if op == VAR:
-            pieces = [((), AffineForm.variable(a))]
+            pieces = [(box, AffineForm.variable(a))]
         elif op == CONST:
-            pieces = [((), AffineForm.const(a))]
+            pieces = [(box, AffineForm.const(a))]
         elif op == NEG:
             pieces = [(g, f.negate_about_one()) for g, f in lists[a]]
         elif op == OPLUS:
-            pieces = _oplus_pieces(lists[a], lists[b], budget)
+            pieces = _merge(lists[a], lists[b], _oplus_regimes, budget)
         elif op == NFOLD:
             # The left-nested chain oplus(oplus(t, t), t)...: the same
             # pieces as the unrolled term, from one compilation of t.
             pieces = lists[b]
             for _ in range(a - 1):
-                pieces = _oplus_pieces(pieces, lists[b], budget)
+                pieces = _merge(pieces, lists[b], _oplus_regimes, budget)
         elif op == HALFN:
             # t / 2^n is affine in t: no split, each form scaled.
             weight = Fraction(1, 2**a)
             pieces = [(g, f.scale(weight)) for g, f in lists[b]]
         else:  # DELTA: prefix entry i weighs 2^-i, the tail 2^-k
-            pieces = [((), AffineForm.const(0))]
+            pieces = [(box, AffineForm.const(0))]
             for s, i in a:
                 weight = Fraction(1, 2**i)
-                grown = []
-                for g_acc, f_acc in pieces:
-                    for g, f in lists[s]:
-                        merged = _combine(g_acc, g, None)
-                        if merged is not None:
-                            grown.append((merged, f_acc.add(f.scale(weight))))
-                        if len(grown) > budget:
-                            raise _PieceBudget(f"term compiles to more than {budget} pieces")
-                pieces = grown
+                pieces = _merge(
+                    pieces, lists[s], lambda fa, f: ((None, fa.add(f.scale(weight))),), budget
+                )
         lists.append(pieces)
     return lists
 
 
-def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> list[Piece]:
-    """Compile an expanded term into guarded affine pieces partitioning the box.
+def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> _Pieces:
+    """Compile an expanded term into (guard constraints, form) pieces
+    partitioning the box; every guard includes the box of t's variables.
 
     Each ``oplus`` splits a piece into the half-open regimes
     ``1 - total > 0`` (value ``total``) and ``total - 1 >= 0`` (value 1).
     When one regime's strict interior misses the box, only the other
     piece is kept, with no new constraint: the dropped regime is at most
-    a face, where the two values agree.  A piece whose guard fails a
-    constraint over the whole box, or holds a constraint together with
-    its complement, is empty and is dropped.
+    a face, where the two values agree.  A piece whose new constraint
+    fails on the whole box, or whose guard holds a constraint together
+    with its complement, is empty and is dropped.
 
     Raises linarith.BudgetExceeded when the piece count passes the budget.
     """
     code, (slot,), _ = terms.compile_core((t,))
-    box = tuple(linarith.box_constraints(name for op, name, _ in code if op == VAR))
-    try:
-        raw = _piece_lists(code, budget)[slot]
-    except _PieceBudget as exc:
-        raise BudgetExceeded(exc.detail) from None
-    return [Piece(Guard(box + g), f) for g, f in raw]
+    return _piece_lists(code, budget)[slot]
 
 
-def _decide_leq_pieces(
-    lhs_pieces: _RawPieces, rhs_pieces: _RawPieces, variables: list[str], budget: int
-) -> Valid | LimitExceeded | dict[str, Q01]:
-    """Valid, LimitExceeded, or a witness assignment where lhs > rhs."""
-    box = linarith.box_constraints(variables)
+def _decide_leq_pieces(lhs_pieces: _Pieces, rhs_pieces: _Pieces, budget: int):
+    """None if lhs <= rhs on every pair of pieces, else a witness point
+    where lhs > rhs; raises BudgetExceeded past the budget."""
     pairs = len(lhs_pieces) * len(rhs_pieces)
     if pairs > budget:
-        return LimitExceeded(BudgetReport(budget, f"{pairs} piece pairs exceed the budget"))
+        raise BudgetExceeded(f"{pairs} piece pairs exceed the budget")
     for gl, al in lhs_pieces:
         for gr, ar in rhs_pieces:
-            diff = al.sub(ar)
-            if diff.is_ground() and diff.constant <= 0:
-                continue  # lhs - rhs > 0 fails everywhere
-            guard = _combine(gl, gr, None)
-            if guard is None:
-                continue
-            system = [*box, *guard, Constraint(diff, strict=True)]
-            try:
+            system = _combine(gl, gr, Constraint(al.sub(ar), strict=True))
+            if system is not None:
                 witness = linarith.feasible(system)
-            except BudgetExceeded as exc:
-                return LimitExceeded(BudgetReport(budget, str(exc)))
-            if witness is not None:
-                return {v: Q01(witness.get(v, Fraction(0))) for v in variables}
-    return Valid()
+                if witness is not None:
+                    return witness
+    return None
 
 
 def _decide_expanded(le: Term, re_: Term, relation: str, budget: int) -> Verdict:
     """lhs <= rhs, and for "eq" then rhs <= lhs, over one program of both sides."""
     code, (lhs, rhs), _ = terms.compile_core((le, re_))
-    variables = sorted(name for op, name, _ in code if op == VAR)
     try:
         pieces = _piece_lists(code, budget)
-    except _PieceBudget as exc:
-        return LimitExceeded(BudgetReport(budget, exc.detail))
-    verdict = _decide_leq_pieces(pieces[lhs], pieces[rhs], variables, budget)
-    if relation == "eq" and isinstance(verdict, Valid):
-        verdict = _decide_leq_pieces(pieces[rhs], pieces[lhs], variables, budget)
-    if isinstance(verdict, dict):
-        values = terms.run(code, verdict, Q01_CARRIER)
-        return Counterexample(verdict, values[lhs], values[rhs])
-    return verdict
+        witness = _decide_leq_pieces(pieces[lhs], pieces[rhs], budget)
+        if relation == "eq" and witness is None:
+            witness = _decide_leq_pieces(pieces[rhs], pieces[lhs], budget)
+    except BudgetExceeded as exc:
+        return LimitExceeded(BudgetReport(budget, str(exc)))
+    if witness is None:
+        return Valid()
+    assignment = {v: Q01(witness[v]) for v in sorted(witness)}
+    values = terms.run(code, assignment, Q01_CARRIER)
+    return Counterexample(assignment, values[lhs], values[rhs])
 
 
 def decide_leq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:

@@ -14,12 +14,15 @@ The round trips run on a finite carrier's integer tables: a good
 sequence is a tuple of table indices, odot is derived from the tables'
 neg and oplus, and each monoid sum is computed and checked once per
 call.  The convolution formula and the goodness test are written once,
-for any carrier, and serve elements and table indices alike.
+for any carrier, and serve elements and table indices alike.  Both
+round trips estimate their work from the sizes before their pair loops
+and refuse it past ``WORK_BUDGET``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -50,7 +53,27 @@ __all__ = [
     "enumerate_good_seqs",
     "ChainIsoReport",
     "xi_chain_iso",
+    "WORK_BUDGET",
+    "WorkBudgetExceeded",
 ]
+
+#: Largest estimated work of one round trip, in steps of its pair loops
+#: (0.05 to 0.2 microseconds each on a 2-vCPU VM, so an admitted round
+#: trip takes at most about 2 s).
+WORK_BUDGET = 10**7
+
+
+class WorkBudgetExceeded(Exception):
+    """A round trip whose estimated work passes WORK_BUDGET, refused
+    before its pair loops run."""
+
+
+def _check_work(what: str, estimate: int) -> None:
+    if estimate > WORK_BUDGET:
+        raise WorkBudgetExceeded(
+            f"work budget exceeded: {what} needs about {Decimal(estimate):.2e} steps, "
+            f"over the limit of {WORK_BUDGET}"
+        )
 
 
 class NotGoodSequence(ValueError):
@@ -294,6 +317,8 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
 
     On the carrier's tables a formal difference is a (pos, neg) pair of
     index tuples, and each monoid sum is computed once per call.
+    Raises WorkBudgetExceeded, before the pair loops, when the sequence
+    pairs times the classes pass WORK_BUDGET.
     """
     K = _Indices(carrier.tables)
     size = range(K.size())
@@ -318,6 +343,8 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     images = [(_trim(K, [a]), ()) for a in size]
     unit, zero = images[K.one()], ((), ())
     seqs = _good_seqs(K, max_len)
+    # Every pair of sequences is tested against the classes found so far.
+    _check_work(f"gamma_of_xi({carrier.spec})", len(seqs) ** 2 * (len(size) + 1))
 
     classes: list[tuple] = []
     for pos in seqs:
@@ -369,7 +396,9 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     the result stays inside the window.
 
     On the chain's tables index k is the element k/n, so entry sums are
-    numerators over n, compared with cap = floor(bound * n).
+    numerators over n, compared with cap = floor(bound * n).  Raises
+    WorkBudgetExceeded, before any sequence is listed, when the sequence
+    pairs times their squared length pass WORK_BUDGET.
     """
     if n < 1:
         raise ValueError(f"chain order must be >= 1, got {n}")
@@ -378,6 +407,8 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
         raise ValueError(f"bound must be >= 0, got {bound}")
     K = _Indices(FiniteChain(n).tables)
     cap = bound.numerator * n // bound.denominator
+    # cap + 1 sequences of at most ceil(cap / n) entries, summed in pairs.
+    _check_work(f"xi_chain_iso({n}, {bound})", (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2)
 
     seqs, frontier = [()], [()]
     while frontier:

@@ -1,20 +1,23 @@
 """Exact linear arithmetic over the rationals.
 
-Affine forms over named variables, constraint systems of the shape
+Affine forms over named variables, constraints of the shape
 ``form >= 0`` / ``form > 0``, and Fourier-Motzkin elimination with
 witness extraction by midpoint back-substitution.
+
+A constraint scales its form on creation by a positive rational so the
+variable coefficients are coprime integers: equal half-spaces are equal
+(and equally hashed) values, and ``complement`` gives the exact
+complement.  ``over_box`` is the one box test, shared with the decider.
 
 All systems handled here include the box constraints 0 <= v <= 1 for
 every variable, which keeps every variable bounded on both sides and
 makes the cheap redundancy checks below sound:
 
-* a constraint whose minimum over the box is already nonnegative is
-  dropped (the box constraints themselves are exempt, since they carry
-  the box);
-* a constraint whose maximum over the box is negative makes the system
-  infeasible immediately;
-* constraints sharing a normalised linear part are collapsed to the
-  tightest one.
+* a constraint that holds on the whole box is dropped (the box
+  constraints themselves are exempt, since they carry the box);
+* a constraint that fails on the whole box, ground ones included, makes
+  the system infeasible immediately;
+* constraints sharing a linear part are collapsed to the tightest one.
 
 Variables are eliminated in lexicographic order and the witness is
 rebuilt in reverse, picking the midpoint of the remaining interval at
@@ -23,9 +26,9 @@ each stage, so identical systems always produce identical witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 __all__ = [
     "AffineForm",
@@ -102,16 +105,46 @@ class AffineForm:
             total += c * point[v]
         return total
 
-    def is_ground(self) -> bool:
-        return not self.coeffs
-
 
 @dataclass(frozen=True)
 class Constraint:
-    """form >= 0 (strict=False) or form > 0 (strict=True)."""
+    """form >= 0 (strict=False) or form > 0 (strict=True), the form scaled
+    to coprime integer coefficients; ground forms are kept as given."""
 
     form: AffineForm
     strict: bool = False
+
+    def __post_init__(self):
+        coeffs = [c for _, c in self.form.coeffs]
+        if coeffs:
+            lcm = math.lcm(*(c.denominator for c in coeffs))
+            gcd = math.gcd(*(c.numerator for c in coeffs))
+            if lcm != gcd:
+                object.__setattr__(self, "form", self.form.scale(Fraction(lcm, gcd)))
+        # Guards are merged through sets, so the hash is computed once.
+        object.__setattr__(self, "_hash", hash((self.form, self.strict)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def complement(self) -> "Constraint":
+        """The constraint that holds exactly where this one fails."""
+        return Constraint(self.form.scale(-1), not self.strict)
+
+    def over_box(self) -> bool | None:
+        """True if this holds on the whole box 0 <= v <= 1, False if it
+        fails on all of it, None if it splits the box."""
+        lo = hi = self.form.constant
+        for _, c in self.form.coeffs:
+            if c < 0:
+                lo += c
+            else:
+                hi += c
+        if hi < 0 or (hi == 0 and self.strict):
+            return False
+        if lo > 0 or (lo == 0 and not self.strict):
+            return True
+        return None
 
 
 def box_constraints(variables) -> list[Constraint]:
@@ -130,21 +163,6 @@ def _is_box(c: Constraint) -> bool:
     return (coeff == 1 and const == 0) or (coeff == -1 and const == 1)
 
 
-def _normalise(c: Constraint) -> Constraint:
-    """Scale by a positive rational so variable coefficients are coprime integers."""
-    if c.form.is_ground():
-        return c
-    denom_lcm = 1
-    for _, coeff in c.form.coeffs:
-        denom_lcm = denom_lcm * coeff.denominator // gcd(denom_lcm, coeff.denominator)
-    nums = [coeff.numerator * (denom_lcm // coeff.denominator) for _, coeff in c.form.coeffs]
-    g = 0
-    for n in nums:
-        g = gcd(g, abs(n))
-    factor = Fraction(denom_lcm, g)
-    return Constraint(c.form.scale(factor), c.strict)
-
-
 class _Infeasible(Exception):
     pass
 
@@ -152,32 +170,19 @@ class _Infeasible(Exception):
 def _prune(constraints) -> list[Constraint]:
     """Drop redundant constraints; raise _Infeasible on a ground or box conflict."""
     best: dict = {}
-    order: list = []
     for c in constraints:
-        if c.form.is_ground():
-            val = c.form.constant
-            if val < 0 or (val == 0 and c.strict):
-                raise _Infeasible
-            continue
-        c = _normalise(c)
         if not _is_box(c):
-            # Extremes over the box: each variable ranges over [0, 1].
-            lo = c.form.constant + sum(min(v, 0) for _, v in c.form.coeffs)
-            hi = c.form.constant + sum(max(v, 0) for _, v in c.form.coeffs)
-            if hi < 0 or (hi == 0 and c.strict):
+            holds = c.over_box()
+            if holds is False:
                 raise _Infeasible
-            if lo > 0 or (lo == 0 and not c.strict):
+            if holds:
                 continue
-        key = c.form.coeffs
-        prev = best.get(key)
-        if prev is None:
-            best[key] = c
-            order.append(key)
-        else:
-            pc, cc = prev.form.constant, c.form.constant
-            if cc < pc or (cc == pc and c.strict and not prev.strict):
-                best[key] = c
-    return [best[k] for k in order]
+        prev = best.get(c.form.coeffs)
+        if prev is None or c.form.constant < prev.form.constant or (
+            c.form.constant == prev.form.constant and c.strict and not prev.strict
+        ):
+            best[c.form.coeffs] = c
+    return list(best.values())
 
 
 def _eliminate(constraints: list[Constraint], var: str) -> list[Constraint]:

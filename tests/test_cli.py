@@ -231,6 +231,25 @@ def test_oversize_carrier_exits_on_the_table_budget(capsys, argv, size):
     assert f"{size} elements" in err and "limit of 1024" in err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("gammaxi", "--chain", "5", "--bound", "99999999999999999999"),
+         "xi_chain_iso(5, 99999999999999999999) needs about 2.50e+81 steps"),
+        (("gammaxi", "--chain", "1", "--bound", "200"), "xi_chain_iso(1, 200) needs about 1.63e+9 steps"),
+        (("gammaxi", "--chain", "200", "--bound", "1"), "gamma_of_xi(chain:200) needs about 7.30e+7 steps"),
+    ],
+    ids=["huge_bound", "long_sequences", "long_chain"],
+)
+def test_oversize_gammaxi_exits_on_the_work_budget(capsys, argv, what):
+    start = time.perf_counter()
+    code, text = invoke(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err == f"error: work budget exceeded: {what}, over the limit of 10000000\n"
+
+
 def test_byte_identical_reruns():
     for argv in [
         ("check", "oplus(x, x) = x"),

@@ -98,6 +98,34 @@ def test_two_variable_witness():
     assert all(0 <= witness[v] <= 1 for v in ("x", "y"))
 
 
+def test_scaled_constraints_are_equal():
+    # 2x - 1 > 0 and x - 1/2 > 0 are one half-space.
+    a = _ineq({"x": 2}, -1, strict=True)
+    b = _ineq({"x": 1}, Fraction(-1, 2), strict=True)
+    assert a == b and hash(a) == hash(b)
+    assert a != _ineq({"x": 1}, Fraction(-1, 2))
+    assert a != _ineq({"x": -2}, 1, strict=True)
+    c = _ineq({"x": Fraction(2, 3), "y": Fraction(-4, 9)}, 1)
+    assert c == _ineq({"x": 6, "y": -4}, 9) and hash(c) == hash(_ineq({"x": 6, "y": -4}, 9))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_complement_is_exact(strict):
+    c = _ineq({"x": 2, "y": -3}, Fraction(1, 2), strict)
+    comp = c.complement()
+    assert comp.strict is not strict and comp.complement() == c
+    grid = [Fraction(k, 12) for k in range(13)]
+    boundary = 0
+    for x in grid:
+        for y in grid:
+            point = {"x": x, "y": y}
+            boundary += c.form.eval(point) == 0
+            holds = [d.form.eval(point) > 0 or (d.form.eval(point) == 0 and not d.strict)
+                     for d in (c, comp)]
+            assert holds.count(True) == 1, point
+    assert boundary > 0
+
+
 @settings(max_examples=200)
 @given(
     st.lists(
@@ -139,28 +167,28 @@ def test_feasible_witness_satisfies_and_grid_oracle(rows):
 def test_compile_oplus_two_pieces():
     pieces = compile_term(expand(parse("oplus(x, y)")))
     assert len(pieces) == 2
-    forms = {p.form for p in pieces}
+    forms = {form for _, form in pieces}
     assert AffineForm.make({"x": 1, "y": 1}, 0) in forms
     assert AffineForm.const(1) in forms
     # Guards include the box for both variables.
-    for p in pieces:
-        constrained = {v for c in p.guard.constraints for v in c.form.vars()}
+    for guard, _ in pieces:
+        constrained = {v for c in guard for v in c.form.vars()}
         assert constrained == {"x", "y"}
 
 
 def test_compile_neg_and_half_single_piece():
-    (piece,) = compile_term(expand(parse("neg(x)")))
-    assert piece.form == AffineForm.make({"x": -1}, 1)
-    (piece,) = compile_term(expand(parse("half(x)")))
-    assert piece.form == AffineForm.make({"x": Fraction(1, 2)}, 0)
+    ((_, form),) = compile_term(expand(parse("neg(x)")))
+    assert form == AffineForm.make({"x": -1}, 1)
+    ((_, form),) = compile_term(expand(parse("half(x)")))
+    assert form == AffineForm.make({"x": Fraction(1, 2)}, 0)
 
 
 def test_compile_ground_guards_fold():
     # A sum of constants never splits: the false branch is pruned.
     pieces = compile_term(expand(parse("oplus(1/4, 1/4)")))
-    assert len(pieces) == 1 and pieces[0].form == AffineForm.const(Fraction(1, 2))
+    assert len(pieces) == 1 and pieces[0][1] == AffineForm.const(Fraction(1, 2))
     pieces = compile_term(expand(parse("oplus(3/4, 3/4)")))
-    assert len(pieces) == 1 and pieces[0].form == AffineForm.const(1)
+    assert len(pieces) == 1 and pieces[0][1] == AffineForm.const(1)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -181,15 +209,15 @@ def test_pieces_cover_and_agree_with_evaluation(salt):
     value = evaluate_by_recursion(t, point, Q01_CARRIER)
     frac_point = {v: Fraction(q) for v, q in point.items()}
     live = 0
-    for p in pieces:
+    for guard, form in pieces:
         holds = all(
             c.form.eval(frac_point) > 0
             or (c.form.eval(frac_point) == 0 and not c.strict)
-            for c in p.guard.constraints
+            for c in guard
         )
         if holds:
             live += 1
-            assert p.form.eval(frac_point) == Fraction(value)
+            assert form.eval(frac_point) == Fraction(value)
     assert live == 1
 
 
@@ -211,8 +239,8 @@ def test_pieces_partition_the_box(text):
     value; no guard holds a constraint together with its complement."""
     t = expand(parse(text))
     pieces = compile_term(t)
-    for p in pieces:
-        guard = set(p.guard.constraints)
+    for guard, _ in pieces:
+        guard = set(guard)
         for c in guard:
             assert Constraint(c.form.scale(-1), not c.strict) not in guard, (text, c)
     variables = sorted(free_vars(t))
@@ -221,16 +249,16 @@ def test_pieces_partition_the_box(text):
         assignment = dict(zip(variables, point))
         frac_point = {v: Fraction(q) for v, q in assignment.items()}
         live = [
-            p
-            for p in pieces
+            form
+            for guard, form in pieces
             if all(
                 c.form.eval(frac_point) > 0
                 or (c.form.eval(frac_point) == 0 and not c.strict)
-                for c in p.guard.constraints
+                for c in guard
             )
         ]
         assert len(live) == 1, (text, assignment)
-        assert live[0].form.eval(frac_point) == Fraction(
+        assert live[0].eval(frac_point) == Fraction(
             evaluate_by_recursion(t, assignment, Q01_CARRIER)
         ), (text, assignment)
 
@@ -242,8 +270,8 @@ def test_deep_core_terms_need_no_recursion():
         t = Neg(t)
     assert evaluate_core(t, {"x": Q01(1, 3)}, Q01_CARRIER) == Q01(1, 3)
     assert evaluate_core(Neg(t), {"x": Q01(1, 3)}, Q01_CARRIER) == Q01(2, 3)
-    (piece,) = compile_term(t)
-    assert piece.form == AffineForm.variable("x")
+    ((_, form),) = compile_term(t)
+    assert form == AffineForm.variable("x")
     assert isinstance(decide(t, Var("x"), "eq"), Valid)
     verdict = decide(Neg(t), Var("x"), "eq")
     assert isinstance(verdict, Counterexample)
@@ -288,6 +316,29 @@ def test_constant_nonpositive_differences_need_no_feasibility_call(monkeypatch):
     monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(system))
     assert isinstance(decide_eq(parse("oplus(x, y)"), parse("oplus(y, x)")), Valid)
     assert calls == []
+
+
+def test_nfold_comparison_needs_no_feasibility_call(monkeypatch):
+    # Each difference x - k*x or x - 1 fails on the whole box.
+    calls = []
+    monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(system))
+    assert isinstance(decide_leq(parse("x"), parse("nfold(16, x)")), Valid)
+    assert calls == []
+
+
+def test_corpus_feasibility_call_counts(monkeypatch):
+    # Scaled complements and differences failing on the whole box are
+    # settled without Fourier-Motzkin.
+    calls = []
+    real = linarith.feasible
+    monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(1) or real(system))
+    for law in corpus.decision_corpus():
+        assert isinstance(decide(law.lhs, law.rhs, law.relation), Valid), law.name
+    assert len(calls) <= 15
+    calls.clear()
+    for law in corpus.non_theorems():
+        assert isinstance(decide(law.lhs, law.rhs, law.relation), Counterexample), law.name
+    assert len(calls) <= 23
 
 
 def test_decide_idempotence_counterexample():
