@@ -27,6 +27,7 @@ so ``nfold(100000000, x)`` answers at once.  All rationals print as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -290,7 +291,9 @@ def _cmd_radical(args, out) -> int:
     return EXIT_OK if cert.verdict else EXIT_FOUND
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mvdelta",
         description="Exact MV/delta-algebra toolkit: decision engine, carriers, spectra.",
@@ -361,9 +364,8 @@ def run(argv, out=None) -> int:
     before the work starts.
     """
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

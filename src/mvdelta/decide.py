@@ -20,8 +20,8 @@ guards and an extra constraint serves ``oplus`` (the regime),
 ``nfold``, ``delta`` and each pair of the decision (``lhs - rhs > 0``).
 It drops the merge without any arithmetic when the extra constraint
 fails on the whole box, or when the guard holds a constraint together
-with its complement (constraints are normalised, so ``2x - 1 > 0``
-meets ``1/2 - x >= 0``): this happens when ``expand`` copies a shared
+with its complement (rows are divided by their gcd, so ``4x - 2 > 0``
+meets ``1 - 2x >= 0``): this happens when ``expand`` copies a shared
 subterm and so reaches one split twice.  Every dropped piece or pair is
 empty, so the pieces still cover the box and ``Valid`` stays complete;
 every witness satisfies its pair's guards, so every ``Counterexample``
@@ -35,6 +35,11 @@ delta laws.  The counted nodes are compiled without unrolling the term:
 left-nested as in ``oplus(oplus(t, t), t)``, and ``halfn(n, t)`` scales
 each form of t by ``2^-n``; the pieces are those of the unrolled term.
 
+Forms and constraints are int rows over the variables in name order,
+constant last, forms scaled by the program's denominator D
+(``terms.program_scale``, shared with the sampler): 1 is D, ``neg`` is
+``D - f``, and ``halfn`` and ``delta`` shift, dropping only zero bits.
+
 Both sides are compiled by ``terms.compile_core`` into one program, and
 the pieces are built once per program slot, in program order, so a
 subterm shared within or across the sides is compiled once and nothing
@@ -45,19 +50,18 @@ program.  Verdicts are exact: ``Valid``, a replayable rational
 outgrows the configured budget (never a wrong answer).
 
 ``sample_falsify`` is the independent evaluation oracle: seeded dyadic
-samples, run on the same program in scaled integers.
+samples, run on the same program in integers scaled by D and the grid.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, sub
 
 from . import linarith, terms
 from .carriers import Q01_CARRIER
-from .linarith import AffineForm, BudgetExceeded, Constraint
+from .linarith import BudgetExceeded, Constraint
 from .rationals import Q01
 from .terms import CONST, DELTA, HALFN, NEG, NFOLD, OPLUS, VAR, Term
 
@@ -75,8 +79,6 @@ __all__ = [
 ]
 
 DEFAULT_PIECE_BUDGET = 65536
-
-_ONE = AffineForm.const(1)
 
 
 @dataclass(frozen=True)
@@ -132,19 +134,27 @@ def _combine(
     return g1 + tuple(added)
 
 
-_Pieces = list[tuple[tuple[Constraint, ...], AffineForm]]
+# A piece is a guard, which leaves out the box all pieces share (no
+# constraint that holds on the whole box or fails on it is ever added),
+# and a form, an int row scaled by the program's denominator.
+_Pieces = list[tuple[tuple[Constraint, ...], tuple[int, ...]]]
 
 
-def _oplus_regimes(al: AffineForm, ar: AffineForm):
-    """The half-open regimes of al + ar truncated at 1, as (extra, form)."""
-    total = al.add(ar)
-    excess = total.sub(_ONE)
-    if Constraint(excess, strict=True).over_box() is False:
-        # total <= 1 on the whole box: the above regime is at most a
-        # face, where it agrees with the below one.
-        return ((None, total),)
-    above = Constraint(excess)
-    return ((above.complement(), total), (above, _ONE))
+def _oplus_regimes(names: tuple[str, ...], one: tuple[int, ...]):
+    """The half-open regimes of fa + fb truncated at one, as (extra, form)."""
+    top = one[-1]
+
+    def regimes(fa, fb):
+        total = tuple(map(add, fa, fb))
+        excess = (*total[:-1], total[-1] - top)
+        if linarith.box_range(excess)[1] <= 0:
+            # total <= 1 on the whole box: the above regime is at most a
+            # face, where it agrees with the below one.
+            return ((None, total),)
+        above = Constraint(excess, False, names)
+        return ((above.complement(), total), (above, one))
+
+    return regimes
 
 
 def _merge(left: _Pieces, right: _Pieces, regimes, budget: int) -> _Pieces:
@@ -161,44 +171,51 @@ def _merge(left: _Pieces, right: _Pieces, regimes, budget: int) -> _Pieces:
     return out
 
 
-def _piece_lists(code, budget: int) -> list[_Pieces]:
-    """The pieces of every slot of a ``terms.compile_core`` program, in
-    order; every guard starts with the box of the program's variables."""
-    box = tuple(linarith.box_constraints(name for op, name, _ in code if op == VAR))
+def _piece_lists(code, halving_depth: int, budget: int):
+    """The variable names, the denominator and the pieces of every slot
+    of a ``terms.compile_core`` program, in order."""
+    names = tuple(sorted(name for op, name, _ in code if op == VAR))
+    scale, n = terms.program_scale(code, halving_depth), len(names)
+    one = (0,) * n + (scale,)
+    oplus = _oplus_regimes(names, one)
     lists: list[_Pieces] = []
     for op, a, b in code:
         if op == VAR:
-            pieces = [(box, AffineForm.variable(a))]
+            form = [0] * (n + 1)
+            form[names.index(a)] = scale
+            pieces = [((), tuple(form))]
         elif op == CONST:
-            pieces = [(box, AffineForm.const(a))]
+            pieces = [((), (0,) * n + (a.numerator * (scale // a.denominator),))]
         elif op == NEG:
-            pieces = [(g, f.negate_about_one()) for g, f in lists[a]]
+            pieces = [(g, tuple(map(sub, one, f))) for g, f in lists[a]]
         elif op == OPLUS:
-            pieces = _merge(lists[a], lists[b], _oplus_regimes, budget)
+            pieces = _merge(lists[a], lists[b], oplus, budget)
         elif op == NFOLD:
             # The left-nested chain oplus(oplus(t, t), t)...: the same
             # pieces as the unrolled term, from one compilation of t.
             pieces = lists[b]
             for _ in range(a - 1):
-                pieces = _merge(pieces, lists[b], _oplus_regimes, budget)
+                pieces = _merge(pieces, lists[b], oplus, budget)
         elif op == HALFN:
-            # t / 2^n is affine in t: no split, each form scaled.
-            weight = Fraction(1, 2**a)
-            pieces = [(g, f.scale(weight)) for g, f in lists[b]]
+            # t / 2^n is affine in t: no split, each form shifted.
+            pieces = [(g, tuple(x >> a for x in f)) for g, f in lists[b]]
         else:  # DELTA: prefix entry i weighs 2^-i, the tail 2^-k
-            pieces = [(box, AffineForm.const(0))]
+            pieces = [((), (0,) * (n + 1))]
             for s, i in a:
-                weight = Fraction(1, 2**i)
+                shifted = [(g, tuple(x >> i for x in f)) for g, f in lists[s]]
                 pieces = _merge(
-                    pieces, lists[s], lambda fa, f: ((None, fa.add(f.scale(weight))),), budget
+                    pieces, shifted, lambda fa, f: ((None, tuple(map(add, fa, f))),), budget
                 )
         lists.append(pieces)
-    return lists
+    return names, scale, lists
 
 
-def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> _Pieces:
-    """Compile an expanded term into (guard constraints, form) pieces
-    partitioning the box; every guard includes the box of t's variables.
+def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET):
+    """Compile an expanded term into pieces partitioning the box.
+
+    Returns the sorted variable names, the program's denominator D and
+    the (guard constraints, form) pieces; every guard includes the box,
+    and a form is an int row whose value is ``(row . (v, 1)) / D``.
 
     Each ``oplus`` splits a piece into the half-open regimes
     ``1 - total > 0`` (value ``total``) and ``total - 1 >= 0`` (value 1).
@@ -210,21 +227,24 @@ def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET) -> _Pieces:
 
     Raises linarith.BudgetExceeded when the piece count passes the budget.
     """
-    code, (slot,), _ = terms.compile_core((t,))
-    return _piece_lists(code, budget)[slot]
+    code, (slot,), halving_depth = terms.compile_core((t,))
+    names, scale, lists = _piece_lists(code, halving_depth, budget)
+    box = tuple(linarith.box_constraints(names))
+    return names, scale, [(box + g, f) for g, f in lists[slot]]
 
 
-def _decide_leq_pieces(lhs_pieces: _Pieces, rhs_pieces: _Pieces, budget: int):
+def _decide_leq_pieces(lhs_pieces: _Pieces, rhs_pieces: _Pieces, names, budget: int):
     """None if lhs <= rhs on every pair of pieces, else a witness point
     where lhs > rhs; raises BudgetExceeded past the budget."""
     pairs = len(lhs_pieces) * len(rhs_pieces)
     if pairs > budget:
         raise BudgetExceeded(f"{pairs} piece pairs exceed the budget")
+    box = tuple(linarith.box_constraints(names))
     for gl, al in lhs_pieces:
         for gr, ar in rhs_pieces:
-            system = _combine(gl, gr, Constraint(al.sub(ar), strict=True))
-            if system is not None:
-                witness = linarith.feasible(system)
+            guard = _combine(gl, gr, Constraint(map(sub, al, ar), True, names))
+            if guard is not None:
+                witness = linarith.feasible(box + guard)
                 if witness is not None:
                     return witness
     return None
@@ -232,12 +252,12 @@ def _decide_leq_pieces(lhs_pieces: _Pieces, rhs_pieces: _Pieces, budget: int):
 
 def _decide_expanded(le: Term, re_: Term, relation: str, budget: int) -> Verdict:
     """lhs <= rhs, and for "eq" then rhs <= lhs, over one program of both sides."""
-    code, (lhs, rhs), _ = terms.compile_core((le, re_))
+    code, (lhs, rhs), halving_depth = terms.compile_core((le, re_))
     try:
-        pieces = _piece_lists(code, budget)
-        witness = _decide_leq_pieces(pieces[lhs], pieces[rhs], budget)
+        names, _, pieces = _piece_lists(code, halving_depth, budget)
+        witness = _decide_leq_pieces(pieces[lhs], pieces[rhs], names, budget)
         if relation == "eq" and witness is None:
-            witness = _decide_leq_pieces(pieces[rhs], pieces[lhs], budget)
+            witness = _decide_leq_pieces(pieces[rhs], pieces[lhs], names, budget)
     except BudgetExceeded as exc:
         return LimitExceeded(BudgetReport(budget, str(exc)))
     if witness is None:
@@ -288,8 +308,9 @@ def sample_falsify(
 
     Both sides are compiled once into one instruction list, run on
     every sample in integers scaled by a common denominator
-    ``D = 2^depth * lcm(constant denominators) * 2^H``, where H is the
-    largest halving depth.  Every value is then an exact integer
+    ``D = 2^depth * terms.program_scale(...)``, the grid's denominator
+    times the program's (``lcm(constant denominators) * 2^H``, where H
+    is the largest halving depth).  Every value is then an exact integer
     multiple of 1/D: ``oplus`` is ``min(a + b, D)``, ``neg`` is
     ``D - a``, ``delta`` is ``sum(v_i >> i)``, ``nfold`` is
     ``min(n * a, D)`` and ``halfn`` is ``a >> n``, and each shift
@@ -303,8 +324,7 @@ def sample_falsify(
     le, re_ = terms.expand(lhs), terms.expand(rhs)
     code, (lhs_slot, rhs_slot), halving_depth = terms.compile_core((le, re_))
     grid = 2**depth
-    denominators = [value.denominator for op, value, _ in code if op == CONST]
-    scale = math.lcm(1, *denominators) << halving_depth
+    scale = terms.program_scale(code, halving_depth)
     top = grid * scale  # the scaled 1
     variables = sorted(name for op, name, _ in code if op == VAR)
     var_index = {name: i for i, name in enumerate(variables)}

@@ -1,13 +1,12 @@
-"""Exact linear arithmetic over the rationals.
+"""Exact linear arithmetic on integer rows.
 
-Affine forms over named variables, constraints of the shape
-``form >= 0`` / ``form > 0``, and Fourier-Motzkin elimination with
-witness extraction by midpoint back-substitution.
-
-A constraint scales its form on creation by a positive rational so the
-variable coefficients are coprime integers: equal half-spaces are equal
-(and equally hashed) values, and ``complement`` gives the exact
-complement.  ``over_box`` is the one box test, shared with the decider.
+A constraint over named variables ``v_1 < ... < v_n`` (sorted by name)
+is a row of ints ``(a_1, ..., a_n, c)`` and a strictness: it reads
+``a_1 v_1 + ... + a_n v_n + c >= 0``, or ``> 0`` when strict.  Each
+row is divided by the gcd of its entries when it is created, so equal
+half-spaces are equal (and equally hashed) values, and ``complement``
+gives the exact complement.  ``over_box`` is the one box test, shared
+with the decider.
 
 All systems handled here include the box constraints 0 <= v <= 1 for
 every variable, which keeps every variable bounded on both sides and
@@ -17,21 +16,23 @@ makes the cheap redundancy checks below sound:
   constraints themselves are exempt, since they carry the box);
 * a constraint that fails on the whole box, ground ones included, makes
   the system infeasible immediately;
-* constraints sharing a linear part are collapsed to the tightest one.
+* constraints sharing a direction are collapsed to the tightest one,
+  comparing constants by cross-multiplication.
 
-Variables are eliminated in lexicographic order and the witness is
-rebuilt in reverse, picking the midpoint of the remaining interval at
-each stage, so identical systems always produce identical witnesses.
+Variables are eliminated in name order by integer row combinations, and
+the witness is rebuilt in reverse, picking the midpoint of the remaining
+interval at each stage, so identical systems always produce identical
+witnesses.  Only that back-substitution uses ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from operator import add, mul, neg
 
 __all__ = [
-    "AffineForm",
     "Constraint",
     "BudgetExceeded",
     "box_constraints",
@@ -43,103 +44,43 @@ __all__ = [
 # abort with BudgetExceeded rather than grind on.
 CONSTRAINT_CAP = 200_000
 
+_NEGATIVE = (0).__gt__
+
 
 class BudgetExceeded(Exception):
     def __init__(self, message: str):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """Linear form sum(coeffs[v] * v) + constant; absent variable = zero coefficient."""
-
-    coeffs: tuple[tuple[str, Fraction], ...]  # sorted by variable, no zeros
-    constant: Fraction
-
-    @staticmethod
-    def make(coeffs: dict[str, Fraction], constant) -> "AffineForm":
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return AffineForm(items, Fraction(constant))
-
-    @staticmethod
-    def variable(name: str) -> "AffineForm":
-        return AffineForm(((name, Fraction(1)),), Fraction(0))
-
-    @staticmethod
-    def const(value) -> "AffineForm":
-        return AffineForm((), Fraction(value))
-
-    def coeff(self, var: str) -> Fraction:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return Fraction(0)
-
-    def vars(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.coeffs)
-
-    def add(self, other: "AffineForm") -> "AffineForm":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs:
-            out[v] = out.get(v, Fraction(0)) + c
-        return AffineForm.make(out, self.constant + other.constant)
-
-    def sub(self, other: "AffineForm") -> "AffineForm":
-        return self.add(other.scale(Fraction(-1)))
-
-    def scale(self, factor: Fraction) -> "AffineForm":
-        factor = Fraction(factor)
-        if factor == 0:
-            return AffineForm((), Fraction(0))
-        return AffineForm(
-            tuple((v, c * factor) for v, c in self.coeffs), self.constant * factor
-        )
-
-    def negate_about_one(self) -> "AffineForm":
-        """1 - self, the image of a form under the MV involution."""
-        return AffineForm.const(1).sub(self)
-
-    def eval(self, point: dict[str, Fraction]) -> Fraction:
-        total = self.constant
-        for v, c in self.coeffs:
-            total += c * point[v]
-        return total
+def box_range(row) -> tuple[int, int]:
+    """The least and the greatest value of a row's form on the box."""
+    coeffs = row[:-1]
+    lo = row[-1] + sum(filter(_NEGATIVE, coeffs))
+    return lo, lo + sum(map(abs, coeffs))
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """form >= 0 (strict=False) or form > 0 (strict=True), the form scaled
-    to coprime integer coefficients; ground forms are kept as given."""
+class Constraint(namedtuple("Constraint", "row strict names")):
+    """``row . (v, 1) >= 0``, or ``> 0`` when strict, over ``names``; the
+    row is divided by the gcd of its entries on creation."""
 
-    form: AffineForm
-    strict: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = [c for _, c in self.form.coeffs]
-        if coeffs:
-            lcm = math.lcm(*(c.denominator for c in coeffs))
-            gcd = math.gcd(*(c.numerator for c in coeffs))
-            if lcm != gcd:
-                object.__setattr__(self, "form", self.form.scale(Fraction(lcm, gcd)))
-        # Guards are merged through sets, so the hash is computed once.
-        object.__setattr__(self, "_hash", hash((self.form, self.strict)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, row, strict: bool, names: tuple[str, ...]):
+        row = tuple(row)
+        g = math.gcd(*row)
+        if g > 1:
+            row = tuple(a // g for a in row)
+        return tuple.__new__(cls, (row, strict, names))
 
     def complement(self) -> "Constraint":
         """The constraint that holds exactly where this one fails."""
-        return Constraint(self.form.scale(-1), not self.strict)
+        # Negation keeps the row divided by its gcd.
+        return tuple.__new__(Constraint, (tuple(map(neg, self.row)), not self.strict, self.names))
 
     def over_box(self) -> bool | None:
         """True if this holds on the whole box 0 <= v <= 1, False if it
         fails on all of it, None if it splits the box."""
-        lo = hi = self.form.constant
-        for _, c in self.form.coeffs:
-            if c < 0:
-                lo += c
-            else:
-                hi += c
+        lo, hi = box_range(self.row)
         if hi < 0 or (hi == 0 and self.strict):
             return False
         if lo > 0 or (lo == 0 and not self.strict):
@@ -147,59 +88,77 @@ class Constraint:
         return None
 
 
-def box_constraints(variables) -> list[Constraint]:
-    """0 <= v <= 1 for each variable."""
+def box_constraints(names) -> list[Constraint]:
+    """0 <= v <= 1 for each variable, over the sorted names."""
+    names = tuple(sorted(names))
     out = []
-    for v in sorted(variables):
-        out.append(Constraint(AffineForm.variable(v)))
-        out.append(Constraint(AffineForm.variable(v).negate_about_one()))
+    for i in range(len(names)):
+        unit = [0] * (len(names) + 1)
+        unit[i] = 1
+        out.append(Constraint(unit, False, names))
+        unit[i], unit[-1] = -1, 1
+        out.append(Constraint(unit, False, names))
     return out
-
-
-def _is_box(c: Constraint) -> bool:
-    if c.strict or len(c.form.coeffs) != 1:
-        return False
-    (_, coeff), const = c.form.coeffs[0], c.form.constant
-    return (coeff == 1 and const == 0) or (coeff == -1 and const == 1)
 
 
 class _Infeasible(Exception):
     pass
 
 
-def _prune(constraints) -> list[Constraint]:
-    """Drop redundant constraints; raise _Infeasible on a ground or box conflict."""
+def _prune(constraints) -> list:
+    """Drop redundant constraints; raise _Infeasible on a ground or box conflict.
+
+    Works on ``(row, strict, ...)`` tuples with rows divided by their
+    gcd, and keeps per direction the first of the tightest ones, in the
+    position of the first met.
+    """
     best: dict = {}
     for c in constraints:
-        if not _is_box(c):
-            holds = c.over_box()
-            if holds is False:
-                raise _Infeasible
-            if holds:
-                continue
-        prev = best.get(c.form.coeffs)
-        if prev is None or c.form.constant < prev.form.constant or (
-            c.form.constant == prev.form.constant and c.strict and not prev.strict
-        ):
-            best[c.form.coeffs] = c
-    return list(best.values())
+        row, strict = c[0], c[1]
+        lo, hi = box_range(row)
+        if hi < 0 or (hi == 0 and strict):
+            raise _Infeasible
+        # It holds on the whole box.  The box rows, v >= 0 and 1 - v >= 0,
+        # are the non-strict ones with lo = 0 and hi = 1; they stay.
+        if lo > 0 or (lo == 0 and not strict and hi != 1):
+            continue
+        # Not ground, so g >= 1; rows of one direction compare their
+        # constants scaled to it: c / g < c' / g'.
+        coeffs = row[:-1]
+        g = math.gcd(*coeffs)
+        direction = coeffs if g == 1 else tuple(a // g for a in coeffs)
+        prev = best.get(direction)
+        if prev is None:
+            best[direction] = (c, g)
+            continue
+        kept, kept_g = prev
+        here, there = row[-1] * kept_g, kept[0][-1] * g
+        if here < there or (here == there and strict and not kept[1]):
+            best[direction] = (c, g)
+    return [c for c, _ in best.values()]
 
 
-def _eliminate(constraints: list[Constraint], var: str) -> list[Constraint]:
+def _eliminate(constraints, k: int) -> list:
+    """Fourier-Motzkin on column k: each lower bound combined with each
+    upper one as ``-b * row_l + a * row_u``, divided by its gcd."""
     lowers, uppers, rest = [], [], []
     for c in constraints:
-        a = c.form.coeff(var)
+        a = c[0][k]
         if a > 0:
-            lowers.append((a, c))
+            lowers.append((c[0], c[1]))
         elif a < 0:
-            uppers.append((a, c))
+            uppers.append((c[0], c[1]))
         else:
             rest.append(c)
     combined = rest
-    for a, cl in lowers:
-        for b, cu in uppers:
-            form = cl.form.scale(-b).add(cu.form.scale(a))
-            combined.append(Constraint(form, cl.strict or cu.strict))
+    for row_l, strict_l in lowers:
+        a = row_l[k]
+        for row_u, strict_u in uppers:
+            row = tuple(map(add, map((-row_u[k]).__mul__, row_l), map(a.__mul__, row_u)))
+            g = math.gcd(*row)
+            if g > 1:
+                row = tuple(x // g for x in row)
+            combined.append((row, strict_l or strict_u))
             if len(combined) > CONSTRAINT_CAP:
                 raise BudgetExceeded(
                     f"Fourier-Motzkin grew past {CONSTRAINT_CAP} constraints"
@@ -210,50 +169,47 @@ def _eliminate(constraints: list[Constraint], var: str) -> list[Constraint]:
 def feasible(constraints) -> dict[str, Fraction] | None:
     """Exact feasibility over the rationals; returns a witness point or None.
 
-    The input must bound every variable both ways (the callers always
-    include box constraints), so back-substitution never meets an
-    unbounded stage.
+    The constraints share one tuple of names, and must bound every
+    variable both ways (the callers always include box constraints), so
+    back-substitution never meets an unbounded stage.
     """
-    variables = sorted({v for c in constraints for v in c.form.vars()})
+    names = constraints[0].names if constraints else ()
+    n = len(names)
     try:
         current = _prune(constraints)
+        stages = []
+        for k in range(n):
+            stages.append(current)
+            current = _prune(_eliminate(current, k))
     except _Infeasible:
         return None
-    stages: list[tuple[str, list[Constraint]]] = []
-    for var in variables:
-        stages.append((var, current))
-        try:
-            current = _prune(_eliminate(current, var))
-        except _Infeasible:
-            return None
     # All variables eliminated; _prune already validated the ground facts.
+    values: list = [None] * n
     point: dict[str, Fraction] = {}
-    for var, system in reversed(stages):
+    for k in reversed(range(n)):
         lo = hi = None
         lo_strict = hi_strict = False
-        for c in system:
-            a = c.form.coeff(var)
+        for row, strict, *_ in stages[k]:
+            a = row[k]
             if a == 0:
                 continue
-            residue = c.form.constant
-            for v, coeff in c.form.coeffs:
-                if v != var:
-                    residue += coeff * point[v]
-            bound = -residue / a
+            residue = row[-1] + sum(map(mul, row[k + 1 : n], values[k + 1 :]))
+            bound = Fraction(-residue) / a
             if a > 0:
-                if lo is None or bound > lo or (bound == lo and c.strict):
-                    lo, lo_strict = bound, c.strict or (bound == lo and lo_strict)
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict or (bound == lo and lo_strict)
             else:
-                if hi is None or bound < hi or (bound == hi and c.strict):
-                    hi, hi_strict = bound, c.strict or (bound == hi and hi_strict)
+                if hi is None or bound < hi or (bound == hi and strict):
+                    hi, hi_strict = bound, strict or (bound == hi and hi_strict)
         if lo is None or hi is None:
-            raise AssertionError(f"variable {var} is unbounded; box constraints missing")
+            raise AssertionError(f"variable {names[k]} is unbounded; box constraints missing")
         if lo == hi:
             if lo_strict or hi_strict:
                 raise AssertionError("empty interval after feasible elimination")
-            point[var] = lo
+            values[k] = lo
         elif lo < hi:
-            point[var] = (lo + hi) / 2
+            values[k] = (lo + hi) / 2
         else:
             raise AssertionError("inverted interval after feasible elimination")
+        point[names[k]] = values[k]
     return point

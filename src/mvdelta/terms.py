@@ -42,6 +42,7 @@ Equations for the decision engine are written ``<term> = <term>`` or
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -74,6 +75,7 @@ __all__ = [
     "evaluate",
     "evaluate_core",
     "compile_core",
+    "program_scale",
     "run",
 ]
 
@@ -519,6 +521,14 @@ def compile_core(roots):
 
     root_slots = _postorder(roots, emit)
     return code, root_slots, max(halvings[s] for s in root_slots)
+
+
+def program_scale(code, halving_depth: int) -> int:
+    """The lcm of a program's constant denominators, shifted left by its
+    halving depth: scaled by it, constants are integers and each halving
+    is a right shift that drops only zero bits."""
+    denominators = [value.denominator for op, value, _ in code if op == CONST]
+    return math.lcm(1, *denominators) << halving_depth
 
 
 def run(code, assignment, carrier) -> list:

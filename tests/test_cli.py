@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mvdelta
 from mvdelta.carriers import ProductAlg
 from mvdelta.cli import run
 from mvdelta.plfunc import from_json, pl_scale, pl_tent, save_plfunc, uniform_dist
@@ -307,3 +311,22 @@ def test_unbound_variable_is_a_usage_error(capsys, argv, name):
     code, text = invoke(*argv)
     assert code == 2 and text == ""
     assert capsys.readouterr().err == f"error: unbound variable {name!r}\n"
+
+
+def test_one_process_gives_the_output_of_fresh_runs(capsys):
+    # The parser is built once per process; each invocation must still
+    # print what a new process prints.
+    calls = [
+        ("eval", "oplus(x, y)", "--carrier"),
+        ("eval", "oplus(x,neg(x))", "--carrier", "q01"),
+        ("check", "oplus(x, x) = x"),
+        ("eval", "oplus(x, y)", "--carrier"),
+    ]
+    src = str(Path(mvdelta.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for argv in calls:
+        code, text = invoke(*argv)
+        err = capsys.readouterr().err
+        fresh = subprocess.run([sys.executable, "-m", "mvdelta.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (code, text, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

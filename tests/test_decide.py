@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from mvdelta.decide import (
     decide_leq,
     sample_falsify,
 )
-from mvdelta.linarith import AffineForm, Constraint, box_constraints, feasible
+from mvdelta.linarith import Constraint, box_constraints, feasible
 from mvdelta.rationals import Q01
 from mvdelta.terms import (
     Const,
@@ -38,20 +39,33 @@ from mvdelta.terms import (
     parse_equation,
 )
 from mvdelta.terms import print_term as terms_print
-from oracles import evaluate_by_recursion, sample_falsify_reference
+from oracles import AffineForm, evaluate_by_recursion, feasible_by_fractions, sample_falsify_reference
+from oracles import Constraint as FractionConstraint
+from oracles import box_constraints as fraction_box_constraints
 
 
 # --- linear arithmetic -------------------------------------------------------
 
+X, XY = ("x",), ("x", "y")
 
-def _ineq(coeffs, const, strict=False):
-    return Constraint(AffineForm.make(coeffs, Fraction(const)), strict)
+
+def _ineq(names, coeffs, const, strict=False):
+    """coeffs . v + const >= 0 (> 0 if strict) as an integer row over names."""
+    values = [Fraction(coeffs.get(v, 0)) for v in names] + [Fraction(const)]
+    lcm = math.lcm(*(q.denominator for q in values))
+    return Constraint([int(q * lcm) for q in values], strict, names)
+
+
+def _value(c, point):
+    """The value of a constraint's row at a point, a positive multiple of
+    the value of the form it was built from."""
+    return c.row[-1] + sum(a * point[v] for v, a in zip(c.names, c.row) if a)
 
 
 def test_feasible_simple_interval():
     system = box_constraints(["x"]) + [
-        _ineq({"x": 1}, Fraction(-1, 3)),  # x >= 1/3
-        _ineq({"x": -1}, Fraction(1, 2)),  # x <= 1/2
+        _ineq(X, {"x": 1}, Fraction(-1, 3)),  # x >= 1/3
+        _ineq(X, {"x": -1}, Fraction(1, 2)),  # x <= 1/2
     ]
     witness = feasible(system)
     assert witness is not None
@@ -60,36 +74,36 @@ def test_feasible_simple_interval():
 
 def test_infeasible_interval():
     system = box_constraints(["x"]) + [
-        _ineq({"x": 1}, Fraction(-2, 3)),
-        _ineq({"x": -1}, Fraction(1, 3)),
+        _ineq(X, {"x": 1}, Fraction(-2, 3)),
+        _ineq(X, {"x": -1}, Fraction(1, 3)),
     ]
     assert feasible(system) is None
 
 
 def test_strict_boundary():
     open_sys = box_constraints(["x"]) + [
-        _ineq({"x": 1}, Fraction(-1, 2), strict=True),  # x > 1/2
-        _ineq({"x": -1}, Fraction(1, 2)),  # x <= 1/2
+        _ineq(X, {"x": 1}, Fraction(-1, 2), strict=True),  # x > 1/2
+        _ineq(X, {"x": -1}, Fraction(1, 2)),  # x <= 1/2
     ]
     assert feasible(open_sys) is None
     closed = box_constraints(["x"]) + [
-        _ineq({"x": 1}, Fraction(-1, 2)),
-        _ineq({"x": -1}, Fraction(1, 2)),
+        _ineq(X, {"x": 1}, Fraction(-1, 2)),
+        _ineq(X, {"x": -1}, Fraction(1, 2)),
     ]
     assert feasible(closed) == {"x": Fraction(1, 2)}
 
 
 def test_ground_constraints():
-    assert feasible([_ineq({}, -1)]) is None
-    assert feasible([_ineq({}, 0, strict=True)]) is None
-    assert feasible([_ineq({}, 0)]) == {}
+    assert feasible([_ineq((), {}, -1)]) is None
+    assert feasible([_ineq((), {}, 0, strict=True)]) is None
+    assert feasible([_ineq((), {}, 0)]) == {}
 
 
 def test_two_variable_witness():
     # x + y > 1 within the box, and y <= 1/4.
     system = box_constraints(["x", "y"]) + [
-        _ineq({"x": 1, "y": 1}, -1, strict=True),
-        _ineq({"y": -1}, Fraction(1, 4)),
+        _ineq(XY, {"x": 1, "y": 1}, -1, strict=True),
+        _ineq(XY, {"y": -1}, Fraction(1, 4)),
     ]
     witness = feasible(system)
     assert witness is not None
@@ -99,19 +113,20 @@ def test_two_variable_witness():
 
 
 def test_scaled_constraints_are_equal():
-    # 2x - 1 > 0 and x - 1/2 > 0 are one half-space.
-    a = _ineq({"x": 2}, -1, strict=True)
-    b = _ineq({"x": 1}, Fraction(-1, 2), strict=True)
+    # 4x - 2 > 0 and x - 1/2 > 0 are one half-space.
+    a = Constraint((4, -2), True, X)
+    b = _ineq(X, {"x": 1}, Fraction(-1, 2), strict=True)
     assert a == b and hash(a) == hash(b)
-    assert a != _ineq({"x": 1}, Fraction(-1, 2))
-    assert a != _ineq({"x": -2}, 1, strict=True)
-    c = _ineq({"x": Fraction(2, 3), "y": Fraction(-4, 9)}, 1)
-    assert c == _ineq({"x": 6, "y": -4}, 9) and hash(c) == hash(_ineq({"x": 6, "y": -4}, 9))
+    assert a != _ineq(X, {"x": 1}, Fraction(-1, 2))
+    assert a != _ineq(X, {"x": -2}, 1, strict=True)
+    c = _ineq(XY, {"x": Fraction(2, 3), "y": Fraction(-4, 9)}, 1)
+    d = Constraint((12, -8, 18), False, XY)
+    assert c == d and hash(c) == hash(d)
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_complement_is_exact(strict):
-    c = _ineq({"x": 2, "y": -3}, Fraction(1, 2), strict)
+    c = _ineq(XY, {"x": 2, "y": -3}, Fraction(1, 2), strict)
     comp = c.complement()
     assert comp.strict is not strict and comp.complement() == c
     grid = [Fraction(k, 12) for k in range(13)]
@@ -119,8 +134,8 @@ def test_complement_is_exact(strict):
     for x in grid:
         for y in grid:
             point = {"x": x, "y": y}
-            boundary += c.form.eval(point) == 0
-            holds = [d.form.eval(point) > 0 or (d.form.eval(point) == 0 and not d.strict)
+            boundary += _value(c, point) == 0
+            holds = [_value(d, point) > 0 or (_value(d, point) == 0 and not d.strict)
                      for d in (c, comp)]
             assert holds.count(True) == 1, point
     assert boundary > 0
@@ -142,12 +157,12 @@ def test_feasible_witness_satisfies_and_grid_oracle(rows):
     variables = ["x", "y"]
     system = box_constraints(variables)
     for cx, cy, c0, strict in rows:
-        system.append(_ineq({"x": cx, "y": cy}, c0, strict))
+        system.append(_ineq(XY, {"x": cx, "y": cy}, c0, strict))
     witness = feasible(system)
 
     def satisfied(point):
         for c in system:
-            v = c.form.eval(point)
+            v = _value(c, point)
             if v < 0 or (v == 0 and c.strict):
                 return False
         return True
@@ -161,34 +176,82 @@ def test_feasible_witness_satisfies_and_grid_oracle(rows):
                 assert not satisfied({"x": x, "y": y})
 
 
+
+_COEFFS = [Fraction(c) for c in ("-2", "-1", "-1/2", "-1/3", "0", "1/3", "1/2", "2/3", "1", "3/2", "2")]
+
+
+@st.composite
+def _systems(draw):
+    names = ("x", "y", "z")[: draw(st.integers(0, 3))]
+    row = st.lists(st.sampled_from(_COEFFS), min_size=len(names) + 1, max_size=len(names) + 1)
+    return names, draw(st.lists(st.tuples(row, st.booleans()), max_size=7))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_systems())
+def test_feasible_matches_the_fraction_engine(case):
+    """Integer rows against the Fraction engine they replaced: the same
+    feasibility and the identical witness on every system."""
+    names, rows = case
+    system = box_constraints(names)
+    reference = fraction_box_constraints(names)
+    for (*coeffs, const), strict in rows:
+        coeffs = dict(zip(names, coeffs))
+        system.append(_ineq(names, coeffs, const, strict))
+        reference.append(FractionConstraint(AffineForm.make(coeffs, const), strict))
+    witness, expected = feasible(system), feasible_by_fractions(reference)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert list(witness.items()) == list(expected.items())
+
 # --- compilation -------------------------------------------------------------
 
 
+def _form(frame, coeffs, const):
+    """The int row of sum(coeffs[v] * v) + const over a compiled term's
+    names, scaled by its denominator."""
+    names, scale = frame
+    values = [Fraction(coeffs.get(v, 0)) * scale for v in names] + [Fraction(const) * scale]
+    assert all(q.denominator == 1 for q in values)
+    return tuple(int(q) for q in values)
+
+
+def _form_value(frame, form, point):
+    names, scale = frame
+    return Fraction(form[-1] + sum(a * point[v] for v, a in zip(names, form) if a)) / scale
+
+
+def _compile(text):
+    """(names, scale) and the pieces of a term."""
+    names, scale, pieces = compile_term(expand(parse(text)))
+    return (names, scale), pieces
+
+
 def test_compile_oplus_two_pieces():
-    pieces = compile_term(expand(parse("oplus(x, y)")))
+    frame, pieces = _compile("oplus(x, y)")
     assert len(pieces) == 2
     forms = {form for _, form in pieces}
-    assert AffineForm.make({"x": 1, "y": 1}, 0) in forms
-    assert AffineForm.const(1) in forms
+    assert _form(frame, {"x": 1, "y": 1}, 0) in forms
+    assert _form(frame, {}, 1) in forms
     # Guards include the box for both variables.
     for guard, _ in pieces:
-        constrained = {v for c in guard for v in c.form.vars()}
+        constrained = {v for c in guard for v, a in zip(c.names, c.row) if a}
         assert constrained == {"x", "y"}
 
 
 def test_compile_neg_and_half_single_piece():
-    ((_, form),) = compile_term(expand(parse("neg(x)")))
-    assert form == AffineForm.make({"x": -1}, 1)
-    ((_, form),) = compile_term(expand(parse("half(x)")))
-    assert form == AffineForm.make({"x": Fraction(1, 2)}, 0)
+    frame, ((_, form),) = _compile("neg(x)")
+    assert form == _form(frame, {"x": -1}, 1)
+    frame, ((_, form),) = _compile("half(x)")
+    assert form == _form(frame, {"x": Fraction(1, 2)}, 0)
 
 
 def test_compile_ground_guards_fold():
     # A sum of constants never splits: the false branch is pruned.
-    pieces = compile_term(expand(parse("oplus(1/4, 1/4)")))
-    assert len(pieces) == 1 and pieces[0][1] == AffineForm.const(Fraction(1, 2))
-    pieces = compile_term(expand(parse("oplus(3/4, 3/4)")))
-    assert len(pieces) == 1 and pieces[0][1] == AffineForm.const(1)
+    frame, pieces = _compile("oplus(1/4, 1/4)")
+    assert len(pieces) == 1 and pieces[0][1] == _form(frame, {}, Fraction(1, 2))
+    frame, pieces = _compile("oplus(3/4, 3/4)")
+    assert len(pieces) == 1 and pieces[0][1] == _form(frame, {}, 1)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -201,23 +264,25 @@ def test_pieces_cover_and_agree_with_evaluation(salt):
             "join(half(x), ominus(y, x))",
             "delta(oplus(x, y), x; y)",
             "neg(nfold(2, ominus(x, y)))",
+            "halfn(3, delta(x, 1/3; y))",
+            "delta(halfn(2, x), 2/3; oplus(x, 1/5))",
         ]
     )
     t = expand(parse(text))
-    pieces = compile_term(t)
+    *frame, pieces = compile_term(t)
     point = {v: Q01(rng.randint(0, 16), 16) for v in free_vars(t)}
     value = evaluate_by_recursion(t, point, Q01_CARRIER)
     frac_point = {v: Fraction(q) for v, q in point.items()}
     live = 0
     for guard, form in pieces:
         holds = all(
-            c.form.eval(frac_point) > 0
-            or (c.form.eval(frac_point) == 0 and not c.strict)
+            _value(c, frac_point) > 0
+            or (_value(c, frac_point) == 0 and not c.strict)
             for c in guard
         )
         if holds:
             live += 1
-            assert form.eval(frac_point) == Fraction(value)
+            assert _form_value(frame, form, frac_point) == Fraction(value)
     assert live == 1
 
 
@@ -230,6 +295,9 @@ _PARTITION_TERMS = [
     "oplus(1, x)",
     "oplus(ominus(x, y), y)",
     "delta(oplus(x, y), x; y)",
+    "halfn(3, delta(x, 1/3; y))",
+    "delta(halfn(2, x), 2/3; oplus(x, 1/5))",
+    "halfn(5, oplus(delta(x, 3/7; neg(y)), halfn(2, 5/6)))",
 ]
 
 
@@ -238,11 +306,11 @@ def test_pieces_partition_the_box(text):
     """Every grid point lies in exactly one piece, whose form gives the
     value; no guard holds a constraint together with its complement."""
     t = expand(parse(text))
-    pieces = compile_term(t)
+    *frame, pieces = compile_term(t)
     for guard, _ in pieces:
         guard = set(guard)
         for c in guard:
-            assert Constraint(c.form.scale(-1), not c.strict) not in guard, (text, c)
+            assert Constraint([-a for a in c.row], not c.strict, c.names) not in guard, (text, c)
     variables = sorted(free_vars(t))
     grid = [Q01(k, 12) for k in range(13)]
     for point in _points(grid, len(variables)):
@@ -252,13 +320,13 @@ def test_pieces_partition_the_box(text):
             form
             for guard, form in pieces
             if all(
-                c.form.eval(frac_point) > 0
-                or (c.form.eval(frac_point) == 0 and not c.strict)
+                _value(c, frac_point) > 0
+                or (_value(c, frac_point) == 0 and not c.strict)
                 for c in guard
             )
         ]
         assert len(live) == 1, (text, assignment)
-        assert live[0].eval(frac_point) == Fraction(
+        assert _form_value(frame, live[0], frac_point) == Fraction(
             evaluate_by_recursion(t, assignment, Q01_CARRIER)
         ), (text, assignment)
 
@@ -270,8 +338,8 @@ def test_deep_core_terms_need_no_recursion():
         t = Neg(t)
     assert evaluate_core(t, {"x": Q01(1, 3)}, Q01_CARRIER) == Q01(1, 3)
     assert evaluate_core(Neg(t), {"x": Q01(1, 3)}, Q01_CARRIER) == Q01(2, 3)
-    ((_, form),) = compile_term(t)
-    assert form == AffineForm.variable("x")
+    *frame, ((_, form),) = compile_term(t)
+    assert form == _form(frame, {"x": 1}, 0)
     assert isinstance(decide(t, Var("x"), "eq"), Valid)
     verdict = decide(Neg(t), Var("x"), "eq")
     assert isinstance(verdict, Counterexample)
