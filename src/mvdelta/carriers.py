@@ -182,10 +182,8 @@ class Carrier(ABC):
         """Number of elements, computed without listing them."""
         raise CarrierError(f"carrier {self.spec} is not enumerable")
 
-    @cached_property
-    def tables(self) -> FiniteTables:
-        """Integer operation tables, built on first use and kept by this
-        instance, after the size has passed the table budget."""
+    def tabulable_size(self) -> int:
+        """The number of elements, once it has passed the table budget."""
         size = self.size()
         if size * size > TABLE_ENTRY_BUDGET:
             raise TableBudgetExceeded(
@@ -193,6 +191,13 @@ class Carrier(ABC):
                 f"over the limit of {math.isqrt(TABLE_ENTRY_BUDGET)} "
                 f"({TABLE_ENTRY_BUDGET} table entries)"
             )
+        return size
+
+    @cached_property
+    def tables(self) -> FiniteTables:
+        """Integer operation tables, built on first use and kept by this
+        instance, after the size has passed the table budget."""
+        self.tabulable_size()
         return self._tabulate()
 
     def _tabulate(self) -> FiniteTables:

@@ -68,12 +68,24 @@ def _int_at_least(low: int):
     return parse
 
 
+def _print_text(render, out):
+    """Print the text ``render()`` returns, whole or not at all: Python
+    prints no integer past its digit limit, and that refusal becomes one
+    usage error."""
+    try:
+        text = render()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"value too long to print (a number of over {limit} digits)") from None
+    print(text, file=out)
+
+
 def _print_counterexample(cx: decide.Counterexample, out):
-    print("Counterexample:", file=out)
-    for name in sorted(cx.assignment):
-        print(f"  {name} = {cx.assignment[name]}", file=out)
-    print(f"  lhs = {cx.lhs_value}", file=out)
-    print(f"  rhs = {cx.rhs_value}", file=out)
+    def render() -> str:
+        lines = ["Counterexample:", *(f"  {v} = {cx.assignment[v]}" for v in sorted(cx.assignment))]
+        return "\n".join([*lines, f"  lhs = {cx.lhs_value}", f"  rhs = {cx.rhs_value}"])
+
+    _print_text(render, out)
 
 
 def _cmd_check(args, out) -> int:
@@ -121,12 +133,7 @@ def _cmd_eval(args, out) -> int:
     term = terms.parse(args.term)
     assignment = _parse_assignment(args.assign or "", carrier)
     value = terms.evaluate(term, assignment, carrier)
-    try:
-        text = carrier.format_element(value)
-    except ValueError:  # Python prints no integer past its digit limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"value too long to print (a number of over {limit} digits)") from None
-    print(text, file=out)
+    _print_text(lambda: carrier.format_element(value), out)
     return EXIT_OK
 
 
@@ -137,7 +144,7 @@ def _cmd_axioms(args, out) -> int:
     failures = 0
     for law in laws:
         code, (lhs, rhs), _ = terms.compile_core((terms.expand(law.lhs), terms.expand(law.rhs)))
-        variables = sorted(name for op, name, _ in code if op == terms.VAR)
+        variables = terms.program_vars(code)
         bad = None
         for _ in range(args.trials):
             if isinstance(carrier, plfunc.PLCarrier):
@@ -357,11 +364,12 @@ def run(argv, out=None) -> int:
     applied 1,200 times, ends in one ``error:`` line and exit 3 instead
     of a traceback.  An unbound variable, and a value holding a number
     with more digits than Python converts to text (``halfn(100000, x)``
-    at ``x=1/3``), each end in one ``error:`` line and exit 2.  A finite
-    carrier past the table budget, and a ``gammaxi`` round trip whose
-    estimated work passes the work budget, end in one ``error:`` line
-    naming the budget, the size or estimate and the limit, and exit 3,
-    before the work starts.
+    at ``x=1/3``, or a ``check`` counterexample at ``--depth 20000``),
+    each end in one ``error:`` line and exit 2, with nothing on stdout.
+    A finite carrier past the table budget, and a ``gammaxi`` round trip
+    whose estimated work passes the work budget, end in one ``error:``
+    line naming the budget, the size or estimate and the limit, and exit
+    3, before the work starts.
     """
     out = out if out is not None else sys.stdout
     try:

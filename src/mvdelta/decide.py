@@ -40,30 +40,29 @@ constant last, forms scaled by the program's denominator D
 (``terms.program_scale``, shared with the sampler): 1 is D, ``neg`` is
 ``D - f``, and ``halfn`` and ``delta`` shift, dropping only zero bits.
 
-Both sides are compiled by ``terms.compile_core`` into one program, and
-the pieces are built once per program slot, in program order, so a
-subterm shared within or across the sides is compiled once and nothing
-recurses.  Equations are decided as two inequality checks over those
-piece lists, and a witness is replayed by ``terms.run`` on the same
-program.  Verdicts are exact: ``Valid``, a replayable rational
-``Counterexample``, or ``LimitExceeded`` when the piece bookkeeping
-outgrows the configured budget (never a wrong answer).
-
+Both sides are compiled by ``terms.compile_core`` into one program.
+The pieces, the sampler and witness replay all run through
+``terms.run``: the pieces over the ``_PieceLists`` carrier, once per
+slot, so a subterm shared within or across the sides is compiled once
+and nothing recurses.  Equations are decided as two inequality checks
+over those piece lists.  Verdicts are exact: ``Valid``, a replayable
+rational ``Counterexample``, or ``LimitExceeded`` when the piece
+bookkeeping outgrows the configured budget (never a wrong answer).
 ``sample_falsify`` is the independent evaluation oracle: seeded dyadic
-samples, run on the same program in integers scaled by D and the grid.
+samples, run over the ``_Columns`` carrier.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, gt, ne, sub
 
 from . import linarith, terms
 from .carriers import Q01_CARRIER
 from .linarith import BudgetExceeded, Constraint
 from .rationals import Q01
-from .terms import CONST, DELTA, HALFN, NEG, NFOLD, OPLUS, VAR, Term
+from .terms import Term
 
 __all__ = [
     "Valid",
@@ -107,9 +106,7 @@ class LimitExceeded:
 Verdict = Valid | Counterexample | LimitExceeded
 
 
-def _combine(
-    g1: tuple[Constraint, ...], g2: tuple[Constraint, ...], extra: Constraint | None
-) -> tuple[Constraint, ...] | None:
+def _combine(g1: tuple[Constraint, ...], g2: tuple[Constraint, ...], extra: Constraint | None):
     """Conjunction of two guards and an optional extra constraint, or None
     when it is plainly empty: the extra constraint fails on the whole box,
     or the guard holds a constraint together with its complement (one
@@ -140,74 +137,77 @@ def _combine(
 _Pieces = list[tuple[tuple[Constraint, ...], tuple[int, ...]]]
 
 
-def _oplus_regimes(names: tuple[str, ...], one: tuple[int, ...]):
-    """The half-open regimes of fa + fb truncated at one, as (extra, form)."""
-    top = one[-1]
+class _PieceLists:
+    """Piece lists as a carrier of ``terms.run``: a variable is bound to
+    its one piece, and each connective maps the pieces of its arguments
+    to the pieces of its value.  Every merge checks the budget."""
 
-    def regimes(fa, fb):
-        total = tuple(map(add, fa, fb))
-        excess = (*total[:-1], total[-1] - top)
-        if linarith.box_range(excess)[1] <= 0:
-            # total <= 1 on the whole box: the above regime is at most a
-            # face, where it agrees with the below one.
-            return ((None, total),)
-        above = Constraint(excess, False, names)
-        return ((above.complement(), total), (above, one))
+    def __init__(self, names: tuple[str, ...], scale: int, budget: int):
+        self.names, self.top, self.budget = names, scale, budget
+        self.zero = (0,) * len(names)  # a constant row's variable part
+        self.one = (*self.zero, scale)
 
-    return regimes
+    def variables(self) -> dict[str, _Pieces]:
+        zero = self.zero
+        return {v: [((), (*zero[:i], self.top, *zero[i:]))] for i, v in enumerate(self.names)}
 
+    def const(self, q: Q01) -> _Pieces:
+        return [((), (*self.zero, q.numerator * (self.top // q.denominator)))]
 
-def _merge(left: _Pieces, right: _Pieces, regimes, budget: int) -> _Pieces:
-    """Every nonempty merge of a left and a right piece, split by regimes."""
-    out = []
-    for gl, al in left:
-        for gr, ar in right:
-            for extra, form in regimes(al, ar):
-                guard = _combine(gl, gr, extra)
-                if guard is not None:
-                    out.append((guard, form))
-            if len(out) > budget:
-                raise BudgetExceeded(f"term compiles to more than {budget} pieces")
-    return out
+    def neg(self, pieces: _Pieces) -> _Pieces:
+        return [(g, tuple(map(sub, self.one, f))) for g, f in pieces]
+
+    def nfold(self, n: int, pieces: _Pieces) -> _Pieces:
+        # The left-nested chain oplus(oplus(t, t), t)...: the same pieces
+        # as the unrolled term, from one compilation of t.
+        out = pieces
+        for _ in range(n - 1):
+            out = self.oplus(out, pieces)
+        return out
+
+    def halve_n(self, n: int, pieces: _Pieces) -> _Pieces:
+        # t / 2^n is affine in t: no split, each form shifted.
+        return [(g, tuple(x >> n for x in f)) for g, f in pieces]
+
+    def delta(self, prefix: list[_Pieces], tail: _Pieces) -> _Pieces:
+        # Prefix entry i weighs 2^-i and the tail 2^-k: never truncated.
+        k = len(prefix)
+        out = [((), (*self.zero, 0))]
+        for pieces, shift in zip((*prefix, tail), (*range(1, k + 1), k)):
+            out = self.oplus(out, self.halve_n(shift, pieces), truncate=False)
+        return out
+
+    def oplus(self, left: _Pieces, right: _Pieces, truncate: bool = True) -> _Pieces:
+        """Every nonempty merge of a left and a right piece, with the sum
+        of their forms; ``truncate`` splits it into the half-open regimes
+        ``1 - total > 0`` (value ``total``) and ``total - 1 >= 0`` (value 1)."""
+        out = []
+        for gl, al in left:
+            for gr, ar in right:
+                total = tuple(map(add, al, ar))
+                regimes = ((None, total),)
+                if truncate:
+                    excess = (*total[:-1], total[-1] - self.top)
+                    # Where total <= 1 on the whole box, the above regime
+                    # is at most a face, where it agrees with the below one.
+                    if linarith.box_range(excess)[1] > 0:
+                        above = Constraint(excess, False, self.names)
+                        regimes = ((above.complement(), total), (above, self.one))
+                for extra, form in regimes:
+                    guard = _combine(gl, gr, extra)
+                    if guard is not None:
+                        out.append((guard, form))
+                if len(out) > self.budget:
+                    raise BudgetExceeded(f"term compiles to more than {self.budget} pieces")
+        return out
 
 
 def _piece_lists(code, halving_depth: int, budget: int):
     """The variable names, the denominator and the pieces of every slot
     of a ``terms.compile_core`` program, in order."""
-    names = tuple(sorted(name for op, name, _ in code if op == VAR))
-    scale, n = terms.program_scale(code, halving_depth), len(names)
-    one = (0,) * n + (scale,)
-    oplus = _oplus_regimes(names, one)
-    lists: list[_Pieces] = []
-    for op, a, b in code:
-        if op == VAR:
-            form = [0] * (n + 1)
-            form[names.index(a)] = scale
-            pieces = [((), tuple(form))]
-        elif op == CONST:
-            pieces = [((), (0,) * n + (a.numerator * (scale // a.denominator),))]
-        elif op == NEG:
-            pieces = [(g, tuple(map(sub, one, f))) for g, f in lists[a]]
-        elif op == OPLUS:
-            pieces = _merge(lists[a], lists[b], oplus, budget)
-        elif op == NFOLD:
-            # The left-nested chain oplus(oplus(t, t), t)...: the same
-            # pieces as the unrolled term, from one compilation of t.
-            pieces = lists[b]
-            for _ in range(a - 1):
-                pieces = _merge(pieces, lists[b], oplus, budget)
-        elif op == HALFN:
-            # t / 2^n is affine in t: no split, each form shifted.
-            pieces = [(g, tuple(x >> a for x in f)) for g, f in lists[b]]
-        else:  # DELTA: prefix entry i weighs 2^-i, the tail 2^-k
-            pieces = [((), (0,) * (n + 1))]
-            for s, i in a:
-                shifted = [(g, tuple(x >> i for x in f)) for g, f in lists[s]]
-                pieces = _merge(
-                    pieces, shifted, lambda fa, f: ((None, tuple(map(add, fa, f))),), budget
-                )
-        lists.append(pieces)
-    return names, scale, lists
+    names, scale = tuple(terms.program_vars(code)), terms.program_scale(code, halving_depth)
+    carrier = _PieceLists(names, scale, budget)
+    return names, scale, terms.run(code, carrier.variables(), carrier)
 
 
 def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET):
@@ -216,15 +216,6 @@ def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET):
     Returns the sorted variable names, the program's denominator D and
     the (guard constraints, form) pieces; every guard includes the box,
     and a form is an int row whose value is ``(row . (v, 1)) / D``.
-
-    Each ``oplus`` splits a piece into the half-open regimes
-    ``1 - total > 0`` (value ``total``) and ``total - 1 >= 0`` (value 1).
-    When one regime's strict interior misses the box, only the other
-    piece is kept, with no new constraint: the dropped regime is at most
-    a face, where the two values agree.  A piece whose new constraint
-    fails on the whole box, or whose guard holds a constraint together
-    with its complement, is empty and is dropped.
-
     Raises linarith.BudgetExceeded when the piece count passes the budget.
     """
     code, (slot,), halving_depth = terms.compile_core((t,))
@@ -292,13 +283,52 @@ def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDG
     raise ValueError(f"unknown relation {relation!r}")
 
 
+#: Samples that ``sample_falsify`` runs together, one column per slot.
+_BLOCK = 64
+
+
+class _Columns:
+    """Columns of samples as a carrier of ``terms.run``, in integers
+    scaled by ``top``, the common denominator ``D = 2^depth *
+    terms.program_scale(...)``: the grid's denominator times the
+    program's (``lcm(constant denominators) * 2^H``, where H is the
+    largest halving depth).  Every value is then an exact integer
+    multiple of 1/D: ``oplus`` is ``min(a + b, D)``, ``neg`` is
+    ``D - a``, ``delta`` is ``sum(v_i >> i)``, ``nfold`` is
+    ``min(n * a, D)`` and ``halfn`` is ``a >> n``, and each shift drops
+    only zero bits."""
+
+    def __init__(self, top: int, width: int):
+        self.top, self.width = top, width
+
+    def const(self, q: Q01) -> list[int]:
+        return [q.numerator * (self.top // q.denominator)] * self.width
+
+    def neg(self, a: list[int]) -> list[int]:
+        top = self.top
+        return [top - s for s in a]
+
+    def oplus(self, a: list[int], b: list[int]) -> list[int]:
+        top = self.top
+        return [s if s < top else top for s in map(add, a, b)]
+
+    def nfold(self, n: int, a: list[int]) -> list[int]:
+        top = self.top
+        return [s if s < top else top for s in map(n.__mul__, a)]
+
+    def halve_n(self, n: int, a: list[int]) -> list[int]:
+        return [s >> n for s in a]
+
+    def delta(self, prefix: list[list[int]], tail: list[int]) -> list[int]:
+        k = len(prefix)
+        out = [s >> k for s in tail]
+        for i, column in enumerate(prefix, 1):
+            out = [s + (v >> i) for s, v in zip(out, column)]
+        return out
+
+
 def sample_falsify(
-    lhs: Term,
-    rhs: Term,
-    relation: str = "eq",
-    trials: int = 1000,
-    seed: int = 0,
-    depth: int = 8,
+    lhs: Term, rhs: Term, relation: str = "eq", trials: int = 1000, seed: int = 0, depth: int = 8
 ) -> Counterexample | None:
     """Seeded search for a violation at uniform dyadic rational points.
 
@@ -306,60 +336,30 @@ def sample_falsify(
     seed) or None.  This is an evaluation oracle, independent of the
     piecewise compilation used by decide_eq/decide_leq.
 
-    Both sides are compiled once into one instruction list, run on
-    every sample in integers scaled by a common denominator
-    ``D = 2^depth * terms.program_scale(...)``, the grid's denominator
-    times the program's (``lcm(constant denominators) * 2^H``, where H
-    is the largest halving depth).  Every value is then an exact integer
-    multiple of 1/D: ``oplus`` is ``min(a + b, D)``, ``neg`` is
-    ``D - a``, ``delta`` is ``sum(v_i >> i)``, ``nfold`` is
-    ``min(n * a, D)`` and ``halfn`` is ``a >> n``, and each shift
-    drops only zero bits.  Values become ``Q01`` only in the returned
-    counterexample.
+    Both sides are compiled once into one program, run over blocks of
+    ``_BLOCK`` samples as ``_Columns``.  The points are drawn sample by
+    sample, and the first block holding a failure ends the search, so
+    memory stays bounded for any trial count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if relation not in ("eq", "leq"):
         raise ValueError(f"unknown relation {relation!r}")
+    fails = ne if relation == "eq" else gt
     le, re_ = terms.expand(lhs), terms.expand(rhs)
     code, (lhs_slot, rhs_slot), halving_depth = terms.compile_core((le, re_))
+    variables = terms.program_vars(code)
     grid = 2**depth
     scale = terms.program_scale(code, halving_depth)
     top = grid * scale  # the scaled 1
-    variables = sorted(name for op, name, _ in code if op == VAR)
-    var_index = {name: i for i, name in enumerate(variables)}
-    # Leaves become loads of the sample point or fixed values; the rest
-    # is the program run per sample.
-    program = []
-    initial = [0] * len(code)
-    for slot, (op, a, b) in enumerate(code):
-        if op == VAR:
-            program.append((VAR, slot, var_index[a], None))
-        elif op == CONST:
-            initial[slot] = a.numerator * (top // a.denominator)
-        else:
-            program.append((op, slot, a, b))
     rng = random.Random(seed)
-    for _ in range(trials):
-        point = [rng.randint(0, grid) for _ in variables]
-        vals = initial[:]
-        for op, slot, a, b in program:
-            if op == OPLUS:
-                total = vals[a] + vals[b]
-                vals[slot] = total if total < top else top
-            elif op == NEG:
-                vals[slot] = top - vals[a]
-            elif op == VAR:
-                vals[slot] = point[a] * scale
-            elif op == DELTA:
-                vals[slot] = sum(vals[s] >> i for s, i in a)
-            elif op == NFOLD:
-                total = a * vals[b]
-                vals[slot] = total if total < top else top
-            else:  # HALFN
-                vals[slot] = vals[b] >> a
-        lv, rv = vals[lhs_slot], vals[rhs_slot]
-        if (lv != rv) if relation == "eq" else (lv > rv):
-            assignment = {v: Q01(k, grid) for v, k in zip(variables, point)}
-            return Counterexample(assignment, Q01(lv, top), Q01(rv, top))
+    for start in range(0, trials, _BLOCK):
+        width = min(_BLOCK, trials - start)
+        points = [[rng.randint(0, grid) for _ in variables] for _ in range(width)]
+        columns = {v: [k * scale for k in ks] for v, ks in zip(variables, zip(*points))}
+        vals = terms.run(code, columns, _Columns(top, width))
+        for point, lv, rv in zip(points, vals[lhs_slot], vals[rhs_slot]):
+            if fails(lv, rv):
+                assignment = {v: Q01(k, grid) for v, k in zip(variables, point)}
+                return Counterexample(assignment, Q01(lv, top), Q01(rv, top))
     return None

@@ -318,8 +318,13 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     On the carrier's tables a formal difference is a (pos, neg) pair of
     index tuples, and each monoid sum is computed once per call.
     Raises WorkBudgetExceeded, before the pair loops, when the sequence
-    pairs times the classes pass WORK_BUDGET.
+    pairs times the classes pass WORK_BUDGET, and before the tables are
+    built when a lower bound from |A| alone does (after the table budget).
     """
+    elements = carrier.tabulable_size()
+    # () and each (a) with a nonzero are good: at least |A| sequences.
+    least = elements if max_len >= 1 else 1
+    _check_work(f"gamma_of_xi({carrier.spec})", least**2 * (elements + 1))
     K = _Indices(carrier.tables)
     size = range(K.size())
     sums: dict[tuple, tuple] = {}
@@ -397,7 +402,7 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
 
     On the chain's tables index k is the element k/n, so entry sums are
     numerators over n, compared with cap = floor(bound * n).  Raises
-    WorkBudgetExceeded, before any sequence is listed, when the sequence
+    WorkBudgetExceeded, before the tables are built, when the sequence
     pairs times their squared length pass WORK_BUDGET.
     """
     if n < 1:
@@ -405,10 +410,10 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    K = _Indices(FiniteChain(n).tables)
     cap = bound.numerator * n // bound.denominator
     # cap + 1 sequences of at most ceil(cap / n) entries, summed in pairs.
     _check_work(f"xi_chain_iso({n}, {bound})", (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2)
+    K = _Indices(FiniteChain(n).tables)
 
     seqs, frontier = [()], [()]
     while frontier:

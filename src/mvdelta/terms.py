@@ -31,10 +31,12 @@ unrolling n connectives.
 
 ``compile_core`` turns expanded terms into one hash-consed program in
 left-to-right post-order, and ``run`` evaluates it over any carrier.
-This is the one place that knows the shapes of the core nodes: the
-evaluator, ``free_vars``, the decider's piece compiler and its sampler
-all read the program, so a shared subterm is computed once.  Below the
-parser nothing recurses, so terms of any depth are accepted.
+This is the one module that knows the shapes of the core nodes and the
+instruction format: the evaluator, the decider's piece compiler and its
+sampler all run through ``run`` (the last two as carriers of their
+own), so a shared subterm is computed once, and ``program_vars`` is the
+one reader of a program's variables.  Below the parser nothing
+recurses, so terms of any depth are accepted.
 
 Equations for the decision engine are written ``<term> = <term>`` or
 ``<term> <= <term>``.
@@ -75,6 +77,7 @@ __all__ = [
     "evaluate",
     "evaluate_core",
     "compile_core",
+    "program_vars",
     "program_scale",
     "run",
 ]
@@ -427,7 +430,7 @@ def print_term(t: Term) -> str:
 
 def free_vars(t: Term) -> frozenset[str]:
     code, _, _ = compile_core((expand(t),))
-    return frozenset(name for op, name, _ in code if op == VAR)
+    return frozenset(program_vars(code))
 
 
 # Each sugar node as core nodes over its expanded arguments.
@@ -521,6 +524,11 @@ def compile_core(roots):
 
     root_slots = _postorder(roots, emit)
     return code, root_slots, max(halvings[s] for s in root_slots)
+
+
+def program_vars(code) -> list[str]:
+    """The sorted variable names of a ``compile_core`` program."""
+    return sorted(name for op, name, _ in code if op == VAR)
 
 
 def program_scale(code, halving_depth: int) -> int:

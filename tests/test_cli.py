@@ -242,8 +242,10 @@ def test_oversize_carrier_exits_on_the_table_budget(capsys, argv, size):
          "xi_chain_iso(5, 99999999999999999999) needs about 2.50e+81 steps"),
         (("gammaxi", "--chain", "1", "--bound", "200"), "xi_chain_iso(1, 200) needs about 1.63e+9 steps"),
         (("gammaxi", "--chain", "200", "--bound", "1"), "gamma_of_xi(chain:200) needs about 7.30e+7 steps"),
+        # Refused on the lower bound |A|^2 (|A| + 1), before any table is built.
+        (("gammaxi", "--chain", "1000", "--bound", "1"), "gamma_of_xi(chain:1000) needs about 1.00e+9 steps"),
     ],
-    ids=["huge_bound", "long_sequences", "long_chain"],
+    ids=["huge_bound", "long_sequences", "long_chain", "longer_chain"],
 )
 def test_oversize_gammaxi_exits_on_the_work_budget(capsys, argv, what):
     start = time.perf_counter()
@@ -292,6 +294,21 @@ def test_huge_halving_ends_in_one_error_line(capsys):
     assert str(sys.get_int_max_str_digits()) in err and "sys." not in err
     code, text = invoke("eval", "halfn(100000, x)", "--carrier", "q01", "--assign", "x=0")
     assert code == 0 and text == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "halfn(20000, x) = 0"), ("check", "x = 0", "--depth", "20000")],
+    ids=["halfn20000", "depth20000"],
+)
+def test_huge_counterexample_ends_in_one_error_line(capsys, argv):
+    # The counterexample is found, but one of its values has more digits
+    # than Python prints by default: nothing of it reaches stdout.
+    code, text = invoke(*argv)
+    assert code == 2 and text == ""
+    limit = sys.get_int_max_str_digits()
+    err = f"error: value too long to print (a number of over {limit} digits)\n"
+    assert capsys.readouterr().err == err
 
 
 def test_gammaxi_rejects_negative_bound():

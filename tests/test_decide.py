@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdelta import corpus, linarith
+from mvdelta import corpus, decide as decide_module, linarith
 from mvdelta.carriers import Q01_CARRIER
 from mvdelta.decide import (
     Counterexample,
@@ -591,6 +591,25 @@ def test_sample_falsify_matches_reference_on_corpus(seed):
         for depth in (1, 4, 8):
             args = (law.lhs, law.rhs, law.relation, trials, seed, depth)
             assert sample_falsify(*args) == sample_falsify_reference(*args), (law.name, depth)
+
+
+# Samples run in blocks.  meet(x, y) <= 7/8 at depth 3 fails only at
+# x = y = 1; its first failing sample (0-based) at each seed below is the
+# last of the first block, the first of the second, or the first of the
+# third.
+_BLOCK = decide_module._BLOCK
+_FIRST_FAILURE = {43: _BLOCK - 1, 66: _BLOCK, 213: 2 * _BLOCK}
+
+
+@pytest.mark.parametrize("seed", sorted(_FIRST_FAILURE))
+@pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_sample_falsify_matches_reference_across_blocks(seed, trials):
+    lhs, rhs = parse("meet(x, y)"), parse("7/8")
+    first = _FIRST_FAILURE[seed]
+    assert sample_falsify_reference(lhs, rhs, "leq", first, seed, 3) is None
+    assert sample_falsify_reference(lhs, rhs, "leq", first + 1, seed, 3) is not None
+    args = (lhs, rhs, "leq", trials, seed, 3)
+    assert sample_falsify(*args) == sample_falsify_reference(*args)
 
 
 _SAMPLING_CONSTS = [Q01(0), Q01(1), Q01(1, 2), Q01(1, 3), Q01(2, 5), Q01(4, 7), Q01(3, 8), Q01(5, 6)]

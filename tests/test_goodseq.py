@@ -7,6 +7,9 @@ import pytest
 from mvdelta.carriers import CHANG, CarrierMismatch, FiniteChain, ProductAlg
 from mvdelta.goodseq import (
     GoodSeq,
+    WorkBudgetExceeded,
+    _Indices,
+    _good_seqs,
     NotGoodSequence,
     enumerate_good_seqs,
     gamma_of_xi,
@@ -198,6 +201,20 @@ GAMMA_GRID = [FiniteChain(n) for n in range(9)] + [
     ProductAlg((FiniteChain(1), FiniteChain(1), FiniteChain(1))),
     ProductAlg((FiniteChain(2), FiniteChain(3))),
 ]
+
+
+@pytest.mark.parametrize("carrier", GAMMA_GRID, ids=lambda c: c.spec)
+def test_good_seqs_number_at_least_the_elements(carrier):
+    # gamma_of_xi's lower bound: () and the one-entry sequences are |A|.
+    K = _Indices(carrier.tables)
+    assert len(_good_seqs(K, 1)) == carrier.size() <= len(_good_seqs(K, 3))
+
+
+def test_gamma_of_xi_refuses_a_long_chain_before_tabulating():
+    chain = FiniteChain(1000)
+    with pytest.raises(WorkBudgetExceeded, match=r"needs about 1\.00e\+9 steps"):
+        gamma_of_xi(chain)
+    assert "tables" not in vars(chain)
 
 
 @pytest.mark.parametrize("carrier", GAMMA_GRID, ids=lambda c: c.spec)

@@ -1,7 +1,11 @@
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvdelta
 from mvdelta.carriers import Q01_CARRIER, FiniteChain, DeltaUnsupported, UnitInterval, carrier_from_spec
 from mvdelta.rationals import Q01, ZERO, ONE
 from mvdelta.terms import (
@@ -28,6 +32,7 @@ from mvdelta.terms import (
     free_vars,
     parse,
     parse_equation,
+    program_vars,
     print_term,
 )
 from oracles import evaluate_by_recursion
@@ -268,3 +273,39 @@ def test_evaluate_core_agrees_with_recursive_oracle(t, spec, picks, bind_z):
     names = ["x", "y", "z"] if bind_z else ["x", "y"]
     env = {v: carrier.parse_element(_CARRIER_ELEMENTS[spec][k]) for v, k in zip(names, picks)}
     assert _outcome(evaluate_core, t, env, carrier) == _outcome(evaluate_by_recursion, t, env, carrier)
+
+
+_OPCODES = {"VAR", "CONST", "NEG", "OPLUS", "DELTA", "NFOLD", "HALFN"}
+
+
+def _opcode_uses(path) -> list[str]:
+    """Every import or reference of an opcode name in one source file."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        uses += [f"{path.name}:{node.lineno} {name}" for name in names if name in _OPCODES]
+    return uses
+
+
+def test_only_terms_reads_opcodes():
+    # The instruction format of compile_core is known to terms alone:
+    # every other module runs programs through terms.run.
+    src = pathlib.Path(mvdelta.__file__).parent
+    assert {u.split()[1] for u in _opcode_uses(src / "terms.py")} == _OPCODES
+    others = [path for path in sorted(src.glob("*.py")) if path.name != "terms.py"]
+    outside = [use for path in others for use in _opcode_uses(path)]
+    assert outside == []
+
+
+def test_program_vars_are_sorted_and_distinct():
+    code, _, _ = compile_core((expand(parse("oplus(y, join(x, y))")), expand(parse("nfold(3, z)"))))
+    assert program_vars(code) == ["x", "y", "z"]
+    code, _, _ = compile_core((expand(parse("1/2")),))
+    assert program_vars(code) == []
