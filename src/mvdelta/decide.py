@@ -30,10 +30,10 @@ replays.
 Validity on the cube settles validity in every MV-algebra (the unit
 interval generates the variety), and for the implemented
 eventually-constant delta fragment the same compilation covers the
-delta laws.  The counted nodes are compiled without unrolling the term:
-``nfold(n, t)`` folds the ``oplus`` split over one compilation of t,
-left-nested as in ``oplus(oplus(t, t), t)``, and ``halfn(n, t)`` scales
-each form of t by ``2^-n``; the pieces are those of the unrolled term.
+delta laws.  The counted nodes are compiled in closed form, as on every
+carrier: ``nfold(n, t)`` is ``min(n t, 1)``, one ``oplus`` split of each
+piece of t with its form multiplied by n, so it has at most twice the
+pieces of t at any n; ``halfn(n, t)`` scales each form of t by ``2^-n``.
 
 Forms and constraints are int rows over the variables in name order,
 constant last, forms scaled by the program's denominator D
@@ -158,12 +158,9 @@ class _PieceLists:
         return [(g, tuple(map(sub, self.one, f))) for g, f in pieces]
 
     def nfold(self, n: int, pieces: _Pieces) -> _Pieces:
-        # The left-nested chain oplus(oplus(t, t), t)...: the same pieces
-        # as the unrolled term, from one compilation of t.
-        out = pieces
-        for _ in range(n - 1):
-            out = self.oplus(out, pieces)
-        return out
+        # min(n t, 1) is n t (+) 0: one split of each piece of t, at any n.
+        scaled = [(g, tuple(n * x for x in f)) for g, f in pieces]
+        return self.oplus(scaled, [((), (*self.zero, 0))])
 
     def halve_n(self, n: int, pieces: _Pieces) -> _Pieces:
         # t / 2^n is affine in t: no split, each form shifted.

@@ -284,6 +284,15 @@ def test_counted_nodes_answer_at_any_count(term, x, value):
     assert code == 0 and text == value + "\n"
 
 
+@pytest.mark.parametrize(
+    "equation",
+    ["x <= nfold(100000, x)", "nfold(300, half(x)) <= nfold(300, x)"],
+    ids=["x_below_nfold100000", "nfold300_half"],
+)
+def test_check_decides_counted_nodes_at_any_count(equation):
+    assert invoke("check", equation) == (0, "Valid\n")
+
+
 def test_huge_halving_ends_in_one_error_line(capsys):
     # 1/(3 * 2^100000) is computed, but its denominator has more digits
     # than Python prints by default.

@@ -394,6 +394,44 @@ def test_nfold_comparison_needs_no_feasibility_call(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [2, 8, 10**8])
+def test_nfold_of_a_variable_compiles_to_two_pieces(n):
+    _, pieces = _compile(f"nfold({n}, x)")
+    assert len(pieces) == 2
+
+
+def _oplus_chain(n, t):
+    """The left-nested chain oplus(oplus(t, t), t)... of n copies of t."""
+    out = t
+    for _ in range(n - 1):
+        out = Oplus(out, t)
+    return out
+
+
+@pytest.mark.parametrize(
+    "inner", ["x", "half(x)", "oplus(x, y)", "neg(x)", "dist(x, y)", "halfn(3, x)"]
+)
+def test_nfold_agrees_with_the_unrolled_chain(inner):
+    # nfold(n, t) is compiled as min(n t, 1), the chain by one split per
+    # oplus: the verdict classes agree and every witness replays.
+    t = parse(inner)
+    for n in range(1, 9):
+        for other in map(parse, ["x", "oplus(x, y)", "half(y)", "1", inner]):
+            for relation, flip in (("eq", False), ("leq", False), ("leq", True)):
+                classes = []
+                for side in (NFold(n, t), _oplus_chain(n, t)):
+                    lhs, rhs = (other, side) if flip else (side, other)
+                    verdict = decide(lhs, rhs, relation)
+                    classes.append(type(verdict))
+                    if isinstance(verdict, Counterexample):
+                        values = [
+                            evaluate_by_recursion(expand(s), verdict.assignment, Q01_CARRIER)
+                            for s in (lhs, rhs)
+                        ]
+                        assert values == [verdict.lhs_value, verdict.rhs_value]
+                assert classes[0] is classes[1] is not LimitExceeded, (n, relation, flip)
+
+
 def test_corpus_feasibility_call_counts(monkeypatch):
     # Scaled complements and differences failing on the whole box are
     # settled without Fourier-Motzkin.

@@ -5,10 +5,11 @@
 ``budget``, and the verdict: its class, and the counterexample's
 assignment and values or the ``LimitExceeded`` detail.  It covers the
 64 corpus laws and the 20 non-theorems, ``oplus`` associativity over
-k = 2..8 variables, ``nfold(n, half(x)) <= nfold(n, x)`` for n = 2..32,
-``join`` associativity and nested ``dist`` at depths 2..5 and 1..2, and
-a few inputs at small budgets.  ``check`` finds most non-theorems by
-sampling first, so ``cli_golden.txt`` does not pin these witnesses.
+k = 2..8 variables, ``nfold(n, half(x)) <= nfold(n, x)`` for n = 2..32
+and 10^8, ``join`` associativity and nested ``dist`` at depths 2..5 and
+1..2, and a few inputs at small budgets.  ``check`` finds most
+non-theorems by sampling first, so ``cli_golden.txt`` does not pin these
+witnesses.
 An intended verdict change is edited into the file by hand.
 """
 
