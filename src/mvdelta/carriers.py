@@ -44,6 +44,7 @@ __all__ = [
     "Carrier",
     "FiniteTables",
     "TABLE_ENTRY_BUDGET",
+    "MAX_NESTING",
     "TableBudgetExceeded",
     "UnitInterval",
     "FiniteChain",
@@ -542,11 +543,25 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
+#: The deepest bracket nesting of a carrier spec or a JSON breakpoint
+#: list; deeper text is refused before any of it is built.
+MAX_NESTING = 64
+
+
+def _nesting_depth(text: str) -> int:
+    """The deepest nesting of the brackets ``([{`` in text."""
+    return max(itertools.accumulate(((ch in "([{") - (ch in ")]}") for ch in text), initial=0))
+
+
 def carrier_from_spec(spec: str) -> Carrier:
     """Build a carrier from a spec string.
 
     Accepted: ``q01``, ``chain:n``, ``chang``, ``prod(spec, ...)``, ``pl``.
+    A ``prod(`` nested more than ``MAX_NESTING`` deep is refused first.
     """
+    depth = _nesting_depth(spec)
+    if depth > MAX_NESTING:
+        raise ValueError(f"carrier spec nested {depth} deep, over the limit of {MAX_NESTING}")
     spec = spec.strip()
     if spec == "q01":
         return Q01_CARRIER

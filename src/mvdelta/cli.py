@@ -14,14 +14,15 @@ Carrier specs: ``chain:n``, ``chang``, ``prod(...)``, ``pl``, and
 ``q01`` (the rational unit interval, used to replay counterexamples).
 
 Exit codes: 0 success/valid, 1 counterexample or obstruction found,
-2 usage or parse error (also a value too long to print), 3 budget
-exceeded (also a term nested past the interpreter's recursion limit,
-a finite carrier of more than 1,024 elements, whose operation tables
-would pass ``carriers.TABLE_ENTRY_BUDGET``, and a ``gammaxi`` round
-trip estimated past ``goodseq.WORK_BUDGET``).
-``nfold`` and ``halfn`` are evaluated without unrolling their counts,
-so ``nfold(100000000, x)`` answers at once.  All rationals print as
-``p/q``; identical invocations produce identical output.
+2 usage or parse error (also a value too long to print, and a carrier
+spec or JSON literal nested past ``carriers.MAX_NESTING``), 3 budget
+exceeded (a finite carrier of more than 1,024 elements, whose operation
+tables would pass ``carriers.TABLE_ENTRY_BUDGET``, and a ``gammaxi``
+round trip estimated past ``goodseq.WORK_BUDGET``).
+Terms nest to any depth, and ``nfold`` and ``halfn`` are evaluated
+without unrolling their counts, so ``nfold(100000000, x)`` answers at
+once.  All rationals print as ``p/q``; identical invocations produce
+identical output.
 """
 
 from __future__ import annotations
@@ -359,13 +360,13 @@ _HANDLERS = {
 def run(argv, out=None) -> int:
     """Execute a CLI invocation; returns the exit code.
 
-    Only the parser still recurses once per nesting level, so a term
-    nested past the interpreter's recursion limit, such as ``neg``
-    applied 1,200 times, ends in one ``error:`` line and exit 3 instead
-    of a traceback.  An unbound variable, and a value holding a number
-    with more digits than Python converts to text (``halfn(100000, x)``
-    at ``x=1/3``, or a ``check`` counterexample at ``--depth 20000``),
-    each end in one ``error:`` line and exit 2, with nothing on stdout.
+    Nothing recurses on a term, so ``neg`` applied 100,000 times
+    evaluates like any other term.  An unbound variable, a carrier spec
+    or JSON literal nested past ``carriers.MAX_NESTING``, and a value
+    holding a number with more digits than Python converts to text
+    (``halfn(100000, x)`` at ``x=1/3``, or a ``check`` counterexample at
+    ``--depth 20000``), each end in one ``error:`` line and exit 2, with
+    nothing on stdout.
     A finite carrier past the table budget, and a ``gammaxi`` round trip
     whose estimated work passes the work budget, end in one ``error:``
     line naming the budget, the size or estimate and the limit, and exit
@@ -384,9 +385,6 @@ def run(argv, out=None) -> int:
     except (ParseError, CarrierError, UnboundVariable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        print("error: term nested too deeply for the recursion limit", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 def main() -> int:

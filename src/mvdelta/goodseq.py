@@ -414,20 +414,8 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     # cap + 1 sequences of at most ceil(cap / n) entries, summed in pairs.
     _check_work(f"xi_chain_iso({n}, {bound})", (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2)
     K = _Indices(FiniteChain(n).tables)
-
-    seqs, frontier = [()], [()]
-    while frontier:
-        grown = []
-        for entries in frontier:
-            if entries and entries[-1] != n:
-                continue  # goodness forces zeros after a non-top entry
-            for e in range(1, n + 1):
-                candidate = entries + (e,)
-                if is_good(K, candidate)[0] and sum(candidate) <= cap:
-                    grown.append(candidate)
-        seqs.extend(grown)
-        frontier = grown
-
+    # Every entry but the last is the top n, so none is longer than ceil(cap / n).
+    seqs = [s for s in _good_seqs(K, -(-cap // n)) if sum(s) <= cap]
     sums = [sum(s) for s in seqs]
     sums_bijective = len(sums) == len(set(sums)) and set(sums) == set(range(cap + 1))
 

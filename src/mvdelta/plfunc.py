@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .carriers import Carrier
+from .carriers import MAX_NESTING, Carrier, _nesting_depth
 from .rationals import Q01, parse_q01
 
 __all__ = [
@@ -389,9 +389,19 @@ def from_json(data) -> PLFunc:
     return PLFunc(points)
 
 
+def _from_json_text(text: str) -> PLFunc:
+    """``from_json`` of JSON text, refused before decoding when its
+    brackets nest deeper than ``carriers.MAX_NESTING`` (brackets inside
+    strings count too; no rational holds one)."""
+    depth = _nesting_depth(text)
+    if depth > MAX_NESTING:
+        raise PLFormatError(0, f"JSON nested {depth} deep, over the limit of {MAX_NESTING}")
+    return from_json(json.loads(text))
+
+
 def load_plfunc(path) -> PLFunc:
     with open(path, encoding="utf-8") as handle:
-        return from_json(json.load(handle))
+        return _from_json_text(handle.read())
 
 
 def save_plfunc(f: PLFunc, path):
@@ -460,7 +470,7 @@ class PLCarrier(Carrier):
         # are given as JSON.
         text = text.strip()
         if text.startswith("["):
-            return from_json(json.loads(text))
+            return _from_json_text(text)
         return pl_const(parse_q01(text))
 
 

@@ -35,8 +35,8 @@ This is the one module that knows the shapes of the core nodes and the
 instruction format: the evaluator, the decider's piece compiler and its
 sampler all run through ``run`` (the last two as carriers of their
 own), so a shared subterm is computed once, and ``program_vars`` is the
-one reader of a program's variables.  Below the parser nothing
-recurses, so terms of any depth are accepted.
+one reader of a program's variables.  Nothing recurses, the parser
+included, so terms of any depth are accepted.
 
 Equations for the decision engine are written ``<term> = <term>`` or
 ``<term> <= <term>``.
@@ -202,159 +202,136 @@ class Equation:
     rhs: Term
 
 
-_UNARY = {"neg": Neg, "half": Half}
 _BINARY = {"oplus": Oplus, "odot": Odot, "ominus": Ominus, "dist": Dist, "join": Join, "meet": Meet}
 _INT_FIRST = {"halfn": HalfN, "nfold": NFold}
-RESERVED = frozenset(_UNARY) | frozenset(_BINARY) | frozenset(_INT_FIRST) | {"delta"}
+_APPLY = {"neg": Neg, "half": Half, **_BINARY, **_INT_FIRST}
+_NAME = {cls: name for name, cls in _APPLY.items()}
+RESERVED = frozenset(_APPLY) | {"delta"}
+_RELATION = {"=": "eq", "<=": "leq"}
 
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<name>[a-z][a-z0-9_]*)
   | (?P<int>\d+)
-  | (?P<leq><=)
-  | (?P<punct>[(),;/=])
+  | (?P<punct><=|[(),;/=])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str  # "name", "int", "punct" (single char), "leq", "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tok_kind = "punct" if kind == "punct" else kind
-            toks.append(_Tok(tok_kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
 class _Parser:
+    """The grammar above, read with the open applications on an explicit
+    stack, so a term of any depth parses without recursion."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
         self.pos = 0
+        # Tokens are (kind, text, offset): kind is "name", "int", "punct"
+        # or, last, "eof".
+        self.toks = []
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if m.lastgroup != "ws":
+                self.toks.append((m.lastgroup, m.group(), m.start()))
+        self.toks.append(("eof", "", len(text)))
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at an offset; only here are lines and columns counted."""
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def next(self) -> _Tok:
+    def peek(self) -> str:
+        return self.toks[self.pos][1]
+
+    def next(self) -> tuple[str, str, int]:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
-        return tok
-
-    def parse_int(self) -> int:
-        tok = self.next()
-        if tok.kind != "int":
-            raise ParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col)
-        return int(tok.text)
-
-    def parse_rat(self, first: _Tok) -> Q01:
-        num = int(first.text)
-        den = 1
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.next()
-            if den_tok.kind != "int":
-                raise ParseError("expected denominator", den_tok.line, den_tok.col)
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-        try:
-            return Q01(num, den)
-        except ValueError as exc:
-            raise ParseError(str(exc), first.line, first.col) from None
+    def expect(self, text: str):
+        _, got, at = self.next()
+        if got != text:
+            raise self.error(f"expected {text!r}, got {got or 'end of input'!r}", at)
 
     def parse_term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "int":
-            return Const(self.parse_rat(tok))
-        if tok.kind != "name":
-            got = tok.text or "end of input"
-            raise ParseError(f"expected term, got {got!r}", tok.line, tok.col)
-        name = tok.text
-        if name not in RESERVED:
-            return Var(name)
-        self.expect("(")
-        if name in _UNARY:
-            arg = self.parse_term()
-            self.expect(")")
-            return _UNARY[name](arg)
-        if name in _BINARY:
-            left = self.parse_term()
-            self.expect(",")
-            right = self.parse_term()
-            self.expect(")")
-            return _BINARY[name](left, right)
-        if name in _INT_FIRST:
-            n_tok = self.peek()
-            n = self.parse_int()
-            self.expect(",")
-            arg = self.parse_term()
-            self.expect(")")
-            try:
-                return _INT_FIRST[name](n, arg)
-            except ValueError as exc:
-                raise ParseError(str(exc), n_tok.line, n_tok.col) from None
-        # delta
-        prefix = []
-        if self.peek().text != ";":
-            if self.peek().text == ")":
-                raise ParseError(
-                    "delta needs an argument list 'delta(p1, ..., pk; tail)'",
-                    tok.line,
-                    tok.col,
-                )
-            prefix.append(self.parse_term())
-            while self.peek().text == ",":
-                self.next()
-                prefix.append(self.parse_term())
-        self.expect(";")
-        tail = self.parse_term()
-        self.expect(")")
-        return Delta(EvSeq(tuple(prefix), tail))
+        # Each open application is [name, offset of its name or count,
+        # arguments so far, whether a delta's tail has started].
+        open_ = []
+        while True:
+            kind, name, at = self.next()
+            if kind == "int":
+                num, den = int(name), 1
+                if self.peek() == "/":
+                    self.next()
+                    kind, den, den_at = self.next()
+                    if kind != "int":
+                        raise self.error("expected denominator", den_at)
+                    den = int(den)
+                    if den == 0:
+                        raise self.error("zero denominator", den_at)
+                try:
+                    term = Const(Q01(num, den))
+                except ValueError as exc:
+                    raise self.error(str(exc), at) from None
+            elif kind != "name":
+                raise self.error(f"expected term, got {name or 'end of input'!r}", at)
+            elif name not in RESERVED:
+                term = Var(name)
+            else:
+                self.expect("(")
+                frame = [name, at, [], False]
+                if name in _INT_FIRST:
+                    kind, count, frame[1] = self.next()
+                    if kind != "int":
+                        raise self.error(f"expected integer, got {count!r}", frame[1])
+                    frame[2].append(int(count))
+                    self.expect(",")
+                elif name == "delta" and self.peek() == ")":
+                    raise self.error("delta needs an argument list 'delta(p1, ..., pk; tail)'", at)
+                elif name == "delta" and self.peek() == ";":
+                    self.next()
+                    frame[3] = True
+                open_.append(frame)
+                continue
+            while open_:
+                frame = open_[-1]
+                name, at, args, tail = frame
+                args.append(term)
+                if name == "delta" and not tail:
+                    if self.peek() == ",":
+                        self.next()
+                    else:
+                        self.expect(";")
+                        frame[3] = True
+                    break
+                if name in _BINARY and len(args) == 1:
+                    self.expect(",")
+                    break
+                self.expect(")")
+                open_.pop()
+                try:
+                    if name == "delta":
+                        term = Delta(EvSeq(tuple(args[:-1]), args[-1]))
+                    else:
+                        term = _APPLY[name](*args)
+                except ValueError as exc:  # a count below 1
+                    raise self.error(str(exc), at) from None
+            else:
+                return term
 
     def parse_relation(self) -> str:
-        tok = self.next()
-        if tok.text == "=":
-            return "eq"
-        if tok.text == "<=":
-            return "leq"
-        got = tok.text or "end of input"
-        raise ParseError(f"expected '=' or '<=', got {got!r}", tok.line, tok.col)
+        _, got, at = self.next()
+        if got not in _RELATION:
+            raise self.error(f"expected '=' or '<=', got {got or 'end of input'!r}", at)
+        return _RELATION[got]
 
     def expect_eof(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        kind, got, at = self.next()
+        if kind != "eof":
+            raise self.error(f"trailing input {got!r}", at)
 
 
 def parse(text: str) -> Term:
@@ -407,25 +384,35 @@ def _postorder(roots, visit) -> list:
     return [done[id(root)] for root in roots]
 
 
-_NAME = {cls: name for name, cls in {**_UNARY, **_BINARY, **_INT_FIRST}.items()}
-
-
-def _print_node(t: Term, kids: list[str]) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Const(value):
-            return str(value)
-        case HalfN(n, _) | NFold(n, _):
-            return f"{_NAME[type(t)]}({n}, {kids[0]})"
-        case Delta(_):
-            return f"delta({', '.join(kids[:-1])}; {kids[-1]})"
-    return f"{_NAME[type(t)]}({', '.join(kids)})"
-
-
 def print_term(t: Term) -> str:
-    """Canonical text form; parse(print_term(t)) == t."""
-    return _postorder((t,), _print_node)[0]
+    """Canonical text form; parse(print_term(t)) == t.
+
+    Written left to right from an explicit stack of nodes and literal
+    text, so the time is linear in the length of the output at any depth.
+    """
+    out, todo = [], [t]
+    while todo:
+        match item := todo.pop():
+            case str():
+                out.append(item)
+                continue
+            case Var(name):
+                pieces = [name]
+            case Const(value):
+                pieces = [str(value)]
+            case HalfN(n, arg) | NFold(n, arg):
+                pieces = [f"{_NAME[type(item)]}({n}, ", arg, ")"]
+            case Delta(EvSeq(prefix, tail)):
+                pieces = ["delta(", *_commas(prefix), "; ", tail, ")"]
+            case _:
+                pieces = [f"{_NAME[type(item)]}(", *_commas(_children(item)), ")"]
+        todo += reversed(pieces)
+    return "".join(out)
+
+
+def _commas(terms) -> list:
+    """The terms with ", " between them."""
+    return [piece for t in terms for piece in (", ", t)][1:]
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -461,8 +448,7 @@ def expand(t: Term) -> Term:
     """Rewrite sugar into the core nodes {Var, Const, Neg, Oplus, Delta, NFold, HalfN}.
 
     ``nfold`` and ``halfn`` keep their counts: unrolled they would be n
-    nested connectives.  Iterative, like everything that reads terms
-    below the parser.
+    nested connectives.  Iterative, like everything that reads terms.
     """
     return _postorder((t,), _expand_node)[0]
 

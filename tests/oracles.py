@@ -8,6 +8,7 @@ one of the two.
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,7 +35,26 @@ from mvdelta.goodseq import (
 from mvdelta.linarith import CONSTRAINT_CAP, BudgetExceeded
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import Hom, _hom_sort_key
-from mvdelta.terms import Const, Delta, EvSeq, HalfN, Neg, NFold, Oplus, Term, UnboundVariable, Var
+from mvdelta.terms import (
+    Const,
+    Delta,
+    Dist,
+    Equation,
+    EvSeq,
+    Half,
+    HalfN,
+    Join,
+    Meet,
+    Neg,
+    NFold,
+    Odot,
+    Ominus,
+    Oplus,
+    ParseError,
+    Term,
+    UnboundVariable,
+    Var,
+)
 
 
 def evaluate_by_recursion(t: Term, assignment, carrier):
@@ -555,3 +575,183 @@ def feasible_by_fractions(constraints) -> dict[str, Fraction] | None:
         else:
             raise AssertionError("inverted interval after feasible elimination")
     return point
+
+
+# --- The term parser by recursive descent --------------------------------------
+#
+# ``terms.parse`` and ``terms.parse_equation`` by recursive descent, one
+# Python frame per nesting level: the same grammar, terms, messages and
+# positions, except that nesting past the recursion limit raises
+# RecursionError.
+
+_UNARY = {"neg": Neg, "half": Half}
+_BINARY = {"oplus": Oplus, "odot": Odot, "ominus": Ominus, "dist": Dist, "join": Join, "meet": Meet}
+_INT_FIRST = {"halfn": HalfN, "nfold": NFold}
+RESERVED = frozenset(_UNARY) | frozenset(_BINARY) | frozenset(_INT_FIRST) | {"delta"}
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<name>[a-z][a-z0-9_]*)
+  | (?P<int>\d+)
+  | (?P<leq><=)
+  | (?P<punct>[(),;/=])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True, slots=True)
+class _Tok:
+    kind: str  # "name", "int", "punct" (single char), "leq", "eof"
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind != "ws":
+            tok_kind = "punct" if kind == "punct" else kind
+            toks.append(_Tok(tok_kind, value, line, col))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    toks.append(_Tok("eof", "", line, col))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
+
+    def next(self) -> _Tok:
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> _Tok:
+        tok = self.next()
+        if tok.text != text:
+            got = tok.text or "end of input"
+            raise ParseError(f"expected {text!r}, got {got!r}", tok.line, tok.col)
+        return tok
+
+    def parse_int(self) -> int:
+        tok = self.next()
+        if tok.kind != "int":
+            raise ParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col)
+        return int(tok.text)
+
+    def parse_rat(self, first: _Tok) -> Q01:
+        num = int(first.text)
+        den = 1
+        if self.peek().text == "/":
+            self.next()
+            den_tok = self.next()
+            if den_tok.kind != "int":
+                raise ParseError("expected denominator", den_tok.line, den_tok.col)
+            den = int(den_tok.text)
+            if den == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+        try:
+            return Q01(num, den)
+        except ValueError as exc:
+            raise ParseError(str(exc), first.line, first.col) from None
+
+    def parse_term(self) -> Term:
+        tok = self.next()
+        if tok.kind == "int":
+            return Const(self.parse_rat(tok))
+        if tok.kind != "name":
+            got = tok.text or "end of input"
+            raise ParseError(f"expected term, got {got!r}", tok.line, tok.col)
+        name = tok.text
+        if name not in RESERVED:
+            return Var(name)
+        self.expect("(")
+        if name in _UNARY:
+            arg = self.parse_term()
+            self.expect(")")
+            return _UNARY[name](arg)
+        if name in _BINARY:
+            left = self.parse_term()
+            self.expect(",")
+            right = self.parse_term()
+            self.expect(")")
+            return _BINARY[name](left, right)
+        if name in _INT_FIRST:
+            n_tok = self.peek()
+            n = self.parse_int()
+            self.expect(",")
+            arg = self.parse_term()
+            self.expect(")")
+            try:
+                return _INT_FIRST[name](n, arg)
+            except ValueError as exc:
+                raise ParseError(str(exc), n_tok.line, n_tok.col) from None
+        # delta
+        prefix = []
+        if self.peek().text != ";":
+            if self.peek().text == ")":
+                raise ParseError(
+                    "delta needs an argument list 'delta(p1, ..., pk; tail)'",
+                    tok.line,
+                    tok.col,
+                )
+            prefix.append(self.parse_term())
+            while self.peek().text == ",":
+                self.next()
+                prefix.append(self.parse_term())
+        self.expect(";")
+        tail = self.parse_term()
+        self.expect(")")
+        return Delta(EvSeq(tuple(prefix), tail))
+
+    def parse_relation(self) -> str:
+        tok = self.next()
+        if tok.text == "=":
+            return "eq"
+        if tok.text == "<=":
+            return "leq"
+        got = tok.text or "end of input"
+        raise ParseError(f"expected '=' or '<=', got {got!r}", tok.line, tok.col)
+
+    def expect_eof(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+
+
+def parse_by_recursion(text: str) -> Term:
+    """``terms.parse`` by recursive descent, one Python frame per nesting level."""
+    parser = _Parser(text)
+    term = parser.parse_term()
+    parser.expect_eof()
+    return term
+
+
+def parse_equation_by_recursion(text: str) -> Equation:
+    """``terms.parse_equation`` by recursive descent."""
+    parser = _Parser(text)
+    lhs = parser.parse_term()
+    relation = parser.parse_relation()
+    rhs = parser.parse_term()
+    parser.expect_eof()
+    return Equation(lhs, relation, rhs)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -265,13 +266,70 @@ def test_byte_identical_reruns():
         assert invoke(*argv) == invoke(*argv)
 
 
-@pytest.mark.parametrize("term", ["neg(" * 1200 + "x" + ")" * 1200], ids=["neg1200"])
-def test_deep_nesting_exits_with_budget_code(capsys, term):
-    code, text = invoke("eval", term, "--carrier", "q01", "--assign", "x=1/3")
-    assert code == 3 and text == ""
+@pytest.mark.parametrize("depth", [1200, 100000], ids=["neg1200", "neg100000"])
+def test_deep_nesting_evaluates(depth):
+    # An even number of negations gives back x.
+    term = "neg(" * depth + "x" + ")" * depth
+    assert invoke("eval", term, "--carrier", "q01", "--assign", "x=1/3") == (0, "1/3\n")
+
+
+def test_deep_nesting_decides():
+    assert invoke("check", "neg(" * 10000 + "x" + ")" * 10000 + " = x") == (0, "Valid\n")
+
+
+def test_no_module_names_recursion_error():
+    # Nothing in the package recurses on its input, so no exit path
+    # depends on the interpreter's recursion limit.
+    src = Path(mvdelta.__file__).parent
+    names = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "RecursionError"
+    ]
+    assert names == []
+
+
+def _deep_json(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [65, 100000])
+def test_deep_json_element_is_a_usage_error(capsys, depth):
+    code, text = invoke("eval", "x", "--carrier", "pl", "--assign", "x=" + _deep_json(depth))
+    assert code == 2 and text == ""
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nested too deeply" in err
-    assert len(err.splitlines()) == 1
+    assert err == f"error: breakpoint 0: JSON nested {depth} deep, over the limit of 64\n"
+
+
+def test_deep_json_target_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "deep.json"
+    target.write_text(_deep_json(100000), encoding="utf-8")
+    code, text = invoke("isbell", "--target", str(target), "--depth", "3", "--out", str(tmp_path / "out.json"))
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: breakpoint 0: JSON nested 100000 deep, over the limit of 64\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def _nested_prod(depth: int) -> str:
+    return "prod(" * depth + "chain:1" + ")" * depth
+
+
+def test_carrier_spec_nested_to_the_limit_answers():
+    spec = _nested_prod(64)
+    one = "(" * 64 + "1" + ")" * 64
+    assert invoke("eval", "neg(0)", "--carrier", spec) == (0, one + "\n")
+    code, text = invoke("spectrum", "--algebra", spec)
+    assert code == 0 and "maximal ideals: 1\n" in text
+    code, text = invoke("radical", "--carrier", spec)
+    assert code == 0 and text.startswith(f"Rad({spec}) = ")
+
+
+@pytest.mark.parametrize("argv", [("eval", "neg(0)", "--carrier"), ("spectrum", "--algebra"), ("radical", "--carrier")])
+def test_carrier_spec_nested_past_the_limit_is_refused(capsys, argv):
+    assert invoke(*argv, _nested_prod(65)) == (2, "")
+    assert capsys.readouterr().err == "error: carrier spec nested 65 deep, over the limit of 64\n"
 
 
 @pytest.mark.parametrize(

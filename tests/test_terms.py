@@ -35,7 +35,8 @@ from mvdelta.terms import (
     program_vars,
     print_term,
 )
-from oracles import evaluate_by_recursion
+from mvdelta import corpus
+from oracles import evaluate_by_recursion, parse_by_recursion, parse_equation_by_recursion
 
 
 def test_parse_basic_structure():
@@ -179,6 +180,73 @@ term_strategy = _terms(3)
 @given(term_strategy)
 def test_parse_print_roundtrip(t):
     assert parse(print_term(t)) == t
+
+
+def test_parse_print_roundtrip_at_any_depth():
+    text = "neg(" * 100000 + "x" + ")" * 100000
+    assert print_term(parse(text)) == text
+
+
+# Texts from the grammar, with counts, rationals and whitespace that may
+# be out of range, and single-character edits of the corpus: the parser
+# must give the recursive oracle's term or its ParseError message.
+
+_SEP = st.sampled_from([", ", ",", " ,\n  "] * 3 + [";", " "])
+
+
+# About one leaf, count or separator in eight is out of place.
+_LEAVES = ["x", "y1", "z_2", "x", "0", "1", "1/2", "2/3"] * 7 + ["neg", "delta", "2", "3/2", "1/0", "1/", "x/2"]
+_COUNTS = [1, 2, 3, 1, 2, 3, 40] * 2 + [0, "", "x"]
+
+
+def _texts(depth):
+    leaf = st.sampled_from(_LEAVES)
+    if depth == 0:
+        return leaf
+    sub = _texts(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(["neg", "half"]), sub).map(lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(st.sampled_from(["oplus", "odot", "ominus", "dist", "join", "meet"]), sub, _SEP, sub).map(
+            lambda p: f"{p[0]}({p[1]}{p[2]}{p[3]})"
+        ),
+        st.tuples(st.sampled_from(["halfn", "nfold"]), st.sampled_from(_COUNTS), _SEP, sub).map(
+            lambda p: f"{p[0]}({p[1]}{p[2]}{p[3]})"
+        ),
+        st.tuples(st.lists(sub, max_size=3), _SEP, sub).map(lambda p: f"delta({p[1].join(p[0])}; {p[2]})"),
+    )
+
+
+_EQUATION_TEXTS = st.tuples(_texts(2), st.sampled_from([" = ", "<=", " <=\n", "="]), _texts(2)).map("".join)
+
+_CORPUS_TEXTS = sorted(
+    f"{print_term(law.lhs)} {'=' if law.relation == 'eq' else '<='} {print_term(law.rhs)}"
+    for law in corpus.decision_corpus() + corpus.non_theorems()
+)
+
+
+def _edits(text, at, edit, char):
+    at %= len(text) + 1
+    return [text[:at] + char + text[at + 1 :], text[:at] + char + text[at:], text[:at] + text[at + 1 :]][edit]
+
+
+_MUTATED_TEXTS = st.builds(
+    _edits, st.sampled_from(_CORPUS_TEXTS), st.integers(0, 400), st.integers(0, 2), st.sampled_from("(),;/=<> \n0129xyaeg!")
+)
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_texts(3), _EQUATION_TEXTS, _MUTATED_TEXTS))
+def test_parser_agrees_with_recursive_oracle(text):
+    assert _parsed(parse, text) == _parsed(parse_by_recursion, text)
+    assert _parsed(parse_equation, text) == _parsed(parse_equation_by_recursion, text)
 
 
 @given(term_strategy, st.integers(min_value=0, max_value=16))
