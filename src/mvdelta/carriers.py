@@ -523,10 +523,17 @@ CHANG = ChangAlgebra()
 
 
 def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses or brackets."""
-    parts, depth, start = [], 0, 0
+    """Split on commas that are not nested inside parentheses or brackets,
+    nor inside a double-quoted (JSON) string."""
+    parts, depth, start, quoted, escaped = [], 0, 0, False, False
     for i, ch in enumerate(text):
-        if ch in "([":
+        if escaped:
+            escaped = False
+        elif quoted:
+            escaped, quoted = ch == "\\", ch != '"'
+        elif ch == '"':
+            quoted = True
+        elif ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1

@@ -3,9 +3,17 @@
 These functions, with rational breakpoints and pointwise MV operations,
 form the desk-scale function carrier: a dense delta-subalgebra of the
 continuous functions on [0,1].  Every operation is exact; truncations
-insert the crossing points they create, and results are kept in a
-canonical form (no collinear interior breakpoints), so structural
-equality coincides with function equality.
+insert the crossing points they create.
+
+A function is one positive integer ``den`` and two integer tuples ``xs``
+and ``ys``, breakpoint i being ``(xs[i]/den, ys[i]/den)``: canonical (no
+collinear interior point) and reduced by ``gcd(den, *xs, *ys)``, so
+structural equality is function equality.  An operation merges its
+operands' integer breakpoints in one sweep, keeps a divisor per
+interpolated value or inserted crossing, and takes one lcm at the end;
+its result is not validated again.  ``Fraction`` appears only at the
+boundary: ``PLFunc(points)`` (validated), JSON, ``points``, ``eval_at``,
+``max_value``, ``uniform_dist`` and printing.
 
 The file format for a function is a JSON array of ``[x, y]`` rational
 string pairs, e.g. ``[["0","0"],["1/2","1"],["1","1"]]``.
@@ -15,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .carriers import MAX_NESTING, Carrier, _nesting_depth
-from .rationals import Q01, parse_q01
+from .rationals import _RAT_RE, Q01, parse_q01
 
 __all__ = [
     "PLFunc",
@@ -91,35 +99,30 @@ def _validate(points: list[Point]):
             raise PLFormatError(i, f"x values must strictly increase, got {x}")
 
 
-def _canonical(points: list[Point]) -> tuple[Point, ...]:
-    out: list[Point] = [points[0]]
-    for p in points[1:]:
-        while len(out) >= 2:
-            a, b = out[-2], out[-1]
-            if (b[1] - a[1]) * (p[0] - b[0]) == (p[1] - b[1]) * (b[0] - a[0]):
-                out.pop()
-            else:
-                break
-        out.append(p)
-    return tuple(out)
-
-
 class PLFunc:
-    """Immutable piecewise-linear function given by canonical breakpoints."""
+    """Immutable piecewise-linear function: canonical breakpoints
+    ``(xs[i]/den, ys[i]/den)`` in lowest common terms."""
 
-    __slots__ = ("points", "_xs")
+    __slots__ = ("den", "xs", "ys")
 
     def __init__(self, points):
         pts = [(Fraction(x), Fraction(y)) for x, y in points]
         _validate(pts)
-        self.points: tuple[Point, ...] = _canonical(pts)
-        self._xs = [p[0] for p in self.points]
+        den = math.lcm(*(c.denominator for p in pts for c in p))
+        f = _reduce(den, [int(x * den) for x, _ in pts], [int(y * den) for _, y in pts])
+        self.den, self.xs, self.ys = f.den, f.xs, f.ys
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        den = self.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in zip(self.xs, self.ys))
 
     def __eq__(self, other):
-        return isinstance(other, PLFunc) and self.points == other.points
+        return isinstance(other, PLFunc) and (self.den, self.xs, self.ys) == (
+            other.den, other.xs, other.ys)
 
     def __hash__(self):
-        return hash(self.points)
+        return hash((self.den, self.xs, self.ys))
 
     def __repr__(self):
         inner = ", ".join(f"({x}, {y})" for x, y in self.points)
@@ -129,13 +132,18 @@ class PLFunc:
         x = Fraction(x)
         if x < 0 or x > 1:
             raise ValueError(f"argument {x} outside [0, 1]")
-        return Q01(_raw_eval(self.points, self._xs, x))
+        xs, ys, t = self.xs, self.ys, x * self.den
+        i = bisect_left(xs, t)
+        if xs[i] == t:
+            return Q01(ys[i], self.den)
+        x0, x1 = xs[i - 1], xs[i]
+        return Q01((ys[i - 1] * (x1 - t) + ys[i] * (t - x0)) / ((x1 - x0) * self.den))
 
     def max_value(self) -> Q01:
-        return Q01(max(y for _, y in self.points))
+        return Q01(max(self.ys), self.den)
 
     def is_zero(self) -> bool:
-        return all(y == 0 for _, y in self.points)
+        return not any(self.ys)
 
 
 @dataclass(frozen=True)
@@ -146,103 +154,119 @@ class FnSeq:
     tail: PLFunc
 
 
+# --- integer breakpoint helpers -----------------------------------------------
+
+
+def _make(den: int, xs: tuple, ys: tuple) -> PLFunc:
+    """A PLFunc from integers already canonical and reduced; no validation."""
+    f = object.__new__(PLFunc)
+    f.den, f.xs, f.ys = den, xs, ys
+    return f
+
+
+def _reduce(den: int, xs, ys) -> PLFunc:
+    """Drop collinear interior points, then divide out gcd(den, *xs, *ys)."""
+    ox, oy = [xs[0]], [ys[0]]
+    for x, y in zip(xs[1:], ys[1:]):
+        if len(ox) >= 2 and (oy[-1] - oy[-2]) * (x - ox[-1]) == (y - oy[-1]) * (ox[-1] - ox[-2]):
+            ox[-1], oy[-1] = x, y
+        else:
+            ox.append(x)
+            oy.append(y)
+    g = math.gcd(den, *ox, *oy)
+    if g > 1:
+        return _make(den // g, tuple(x // g for x in ox), tuple(y // g for y in oy))
+    return _make(den, tuple(ox), tuple(oy))
+
+
+def _finish(points) -> PLFunc:
+    """The function through (X/q, Y/q) points: one lcm, then _reduce."""
+    den = math.lcm(*(q for _, _, q in points))
+    return _reduce(den, [x * (den // q) for x, _, q in points], [y * (den // q) for _, y, q in points])
+
+
+def _sweep(fns, weights):
+    """sum(w_i * f_i) at the merged breakpoints: L, the merged xs over L and,
+    for each, the value ``nums[p] / (divs[p] * L)``.  One pointer per
+    function; a function is interpolated between its own breakpoints."""
+    L = math.lcm(*(f.den for f in fns))
+    scaled = []
+    for f in fns:
+        s = L // f.den
+        scaled.append((f.xs, f.ys) if s == 1 else ([x * s for x in f.xs], [y * s for y in f.ys]))
+    grid = sorted(set().union(*(xs for xs, _ in scaled)))
+    nums, divs = [0] * len(grid), [1] * len(grid)
+    for (xs, ys), w in zip(scaled, weights):
+        j = 0
+        for p, x in enumerate(grid):
+            if x == xs[j]:
+                nums[p] += w * ys[j] * divs[p]
+                j += 1
+            else:
+                x0, x1 = xs[j - 1], xs[j]
+                nums[p] = nums[p] * (x1 - x0) + w * (ys[j - 1] * (x1 - x) + ys[j] * (x - x0)) * divs[p]
+                divs[p] *= x1 - x0
+    return L, grid, nums, divs
+
+
+def _clip(points) -> list:
+    """(X/q, Y/q) points truncated at 1, with the crossings inserted."""
+    out = [(x, min(y, q), q) for x, y, q in points[:1]]
+    for (x0, y0, q0), (x1, y1, q1) in zip(points, points[1:]):
+        if (y0 - q0) * (y1 - q1) < 0:
+            dy = y1 * q0 - y0 * q1
+            x, q = x0 * dy + (q0 - y0) * (x1 * q0 - x0 * q1), q0 * dy
+            out.append((-x, -q, -q) if q < 0 else (x, q, q))
+        out.append((x1, min(y1, q1), q1))
+    return out
+
+
 def pl_const(value) -> PLFunc:
     v = Fraction(value)
-    return PLFunc([(Fraction(0), v), (Fraction(1), v)])
+    if v < 0 or v > 1:
+        raise PLFormatError(0, f"value {v} outside [0, 1]")
+    return _make(v.denominator, (0, v.denominator), (v.numerator, v.numerator))
 
 
 def pl_identity() -> PLFunc:
-    return PLFunc([(0, 0), (1, 1)])
+    return _make(1, (0, 1), (0, 1))
 
 
 def pl_tent() -> PLFunc:
-    return PLFunc([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)), (1, 0)])
-
-
-# --- raw point-list helpers (values may leave [0, 1] mid-computation) -------
-
-
-def _raw_eval(points: list[Point], xs: list[Fraction], x: Fraction) -> Fraction:
-    i = bisect_right(xs, x)
-    if i == len(xs):
-        return points[-1][1]
-    (x0, y0), (x1, y1) = points[i - 1], points[i]
-    if x == x0:
-        return y0
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def _merged_xs(fns) -> list[Fraction]:
-    xs = set()
-    for f in fns:
-        xs.update(x for x, _ in f)
-    return sorted(xs)
-
-
-def _combine_raw(fns: list[list[Point]], coeffs, constant=0) -> list[Point]:
-    """Pointwise affine combination sum(c_i * f_i) + constant."""
-    xs = _merged_xs(fns)
-    cached = [(f, [x for x, _ in f]) for f in fns]
-    constant = Fraction(constant)
-    out = []
-    for x in xs:
-        y = constant
-        for (f, fxs), c in zip(cached, coeffs):
-            y += Fraction(c) * _raw_eval(f, fxs, x)
-        out.append((x, y))
-    return out
-
-
-def _insert_crossings(points: list[Point], level: Fraction) -> list[Point]:
-    out = [points[0]]
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if (y0 - level) * (y1 - level) < 0:
-            t = x0 + (level - y0) * (x1 - x0) / (y1 - y0)
-            out.append((t, level))
-        out.append((x1, y1))
-    return out
-
-
-def _clip_above(points: list[Point], level) -> list[Point]:
-    level = Fraction(level)
-    return [(x, min(y, level)) for x, y in _insert_crossings(points, level)]
-
-
-def _clip_below(points: list[Point], level) -> list[Point]:
-    level = Fraction(level)
-    return [(x, max(y, level)) for x, y in _insert_crossings(points, level)]
-
-
-def _raw(f: PLFunc) -> list[Point]:
-    return list(f.points)
+    return _make(2, (0, 1, 2), (0, 2, 0))
 
 
 # --- pointwise MV operations -------------------------------------------------
 
 
 def pl_neg(f: PLFunc) -> PLFunc:
-    return PLFunc([(x, 1 - y) for x, y in f.points])
+    den = f.den
+    return _make(den, f.xs, tuple(den - y for y in f.ys))
 
 
 def pl_oplus(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc(_clip_above(_combine_raw([_raw(f), _raw(g)], [1, 1]), 1))
+    L, grid, nums, divs = _sweep((f, g), (1, 1))
+    return _finish(_clip([(x * d, y, d * L) for x, y, d in zip(grid, nums, divs)]))
 
 
 def pl_delta(prefix, tail: PLFunc) -> PLFunc:
     """Exact sum(prefix_i / 2^i) + tail / 2^k; never reaches the threshold."""
     k = len(prefix)
-    fns = [_raw(p) for p in prefix] + [_raw(tail)]
-    coeffs = [Fraction(1, 2**i) for i in range(1, k + 1)] + [Fraction(1, 2**k)]
-    points = _combine_raw(fns, coeffs)
-    if any(y < 0 or y > 1 for _, y in points):
-        raise AssertionError("delta combination left the unit interval")
-    return PLFunc(points)
+    weights = [1 << (k - i) for i in range(1, k + 1)] + [1]
+    L, grid, nums, divs = _sweep((*prefix, tail), weights)
+    points = []
+    for x, y, d in zip(grid, nums, divs):
+        q = (d * L) << k
+        if y < 0 or y > q:
+            raise AssertionError("delta combination left the unit interval")
+        points.append((x * d << k, y, q))
+    return _finish(points)
 
 
 def pl_scale(r: Q01, f: PLFunc) -> PLFunc:
     """Exact pointwise r*f for a scalar r in [0, 1]."""
-    r = Q01(r)
-    return PLFunc([(x, r * y) for x, y in f.points])
+    p, q = Q01(r).as_integer_ratio()
+    return _reduce(q * f.den, [x * q for x in f.xs], [y * p for y in f.ys])
 
 
 def pl_precompose(f: PLFunc, phi: PLFunc) -> PLFunc:
@@ -252,29 +276,44 @@ def pl_precompose(f: PLFunc, phi: PLFunc) -> PLFunc:
     the preimages of f's breakpoints makes the composition affine piece
     by piece.
     """
-    xs = {x for x, _ in phi.points}
-    f_breaks = [x for x, _ in f.points]
-    for (u, a), (v, b) in zip(phi.points, phi.points[1:]):
-        if a == b:
+    L = math.lcm(f.den, phi.den)
+    s, t = L // f.den, L // phi.den
+    fx, fy = [x * s for x in f.xs], [y * s for y in f.ys]
+    px, py = [x * t for x in phi.xs], [y * t for y in phi.ys]
+    points = []
+    for j, (u, a) in enumerate(zip(px, py)):
+        i = bisect_left(fx, a)
+        if fx[i] == a:
+            points.append((u, fy[i], L))
+        else:
+            x0, x1 = fx[i - 1], fx[i]
+            points.append((u * (x1 - x0), fy[i - 1] * (x1 - a) + fy[i] * (a - x0), (x1 - x0) * L))
+        if j + 1 == len(px) or a == py[j + 1]:
             continue
-        lo, hi = (a, b) if a < b else (b, a)
-        for c in f_breaks:
-            if lo < c < hi:
-                xs.add(u + (c - a) * (v - u) / (b - a))
-    grid = sorted(xs)
-    return PLFunc([(x, f.eval_at(phi.eval_at(x))) for x in grid])
+        v, b = px[j + 1], py[j + 1]
+        inside = range(bisect_right(fx, min(a, b)), bisect_left(fx, max(a, b)))
+        for c in inside if a < b else reversed(inside):
+            # The preimage of fx[c] on this segment, with the value fy[c].
+            x, e = u * (b - a) + (fx[c] - a) * (v - u), b - a
+            if e < 0:
+                x, e = -x, -e
+            points.append((x, fy[c] * e, e * L))
+    return _finish(points)
 
 
 def uniform_dist(f: PLFunc, g: PLFunc) -> Q01:
     """Exact sup |f - g|; attained at a common-refinement breakpoint."""
-    diff = _combine_raw([_raw(f), _raw(g)], [1, -1])
-    return Q01(max(abs(y) for _, y in diff))
+    L, _, nums, divs = _sweep((f, g), (1, -1))
+    best, div = 0, 1
+    for n, d in zip(nums, divs):
+        if abs(n) * div > best * d:
+            best, div = abs(n), d
+    return Q01(best, div * L)
 
 
 def pl_leq(f: PLFunc, g: PLFunc) -> bool:
     """Pointwise order; decided at the common-refinement breakpoints."""
-    diff = _combine_raw([_raw(g), _raw(f)], [1, -1])
-    return all(y >= 0 for _, y in diff)
+    return all(n >= 0 for n in _sweep((g, f), (1, -1))[2])
 
 
 # --- approximation and reconstruction ---------------------------------------
@@ -293,9 +332,11 @@ def increasing_approx(target: PLFunc, depth: int) -> list[PLFunc]:
         raise ValueError(f"depth must be >= 1, got {depth}")
     out = []
     for i in range(1, depth + 1):
-        shift = Fraction(3, 2 ** (i + 2))
-        shifted = [(x, y - shift) for x, y in target.points]
-        out.append(PLFunc(_clip_below(shifted, 0)))
+        # (target - s) v 0 is neg((neg(target) + s) ^ 1), s = 3 den / q.
+        q = target.den << (i + 2)
+        raised = [(x << (i + 2), q - (y << (i + 2)) + 3 * target.den, q)
+                  for x, y in zip(target.xs, target.ys)]
+        out.append(_finish([(x, q - y, q) for x, y, q in _clip(raised)]))
     return out
 
 
@@ -329,12 +370,12 @@ def isbell_reconstruct(seq) -> PLFunc:
                     i, Fraction(gap), f"step exceeds the bound 1/{2**i}"
                 )
         step = pl_ominus(current, previous)
-        scaled = _combine_raw([_raw(step)], [2**i])
-        if any(y < 0 or y > 1 for _, y in scaled):
+        scaled = [y << i for y in step.ys]
+        if max(scaled) > step.den:
             raise IsbellHypothesisError(
-                i, Fraction(max(y for _, y in scaled)), "scaled increment left [0, 1]"
+                i, Fraction(max(scaled), step.den), "scaled increment left [0, 1]"
             )
-        increments.append(PLFunc(scaled))
+        increments.append(_reduce(step.den, step.xs, scaled))
         previous = current
     return pl_delta(increments, increments[-1])
 
@@ -348,7 +389,7 @@ def archimedean_certificate(f: PLFunc) -> int | None:
     """
     if f.is_zero():
         return None
-    n = math.ceil(Fraction(1) / f.max_value()) + 1
+    n = -(-f.den // max(f.ys)) + 1
     if pl_leq(pl_nfold(n, f), pl_neg(f)):
         raise AssertionError("archimedean certificate failed verification")
     return n
@@ -362,13 +403,19 @@ def to_json(f: PLFunc) -> list[list[str]]:
 
 
 def _parse_breakpoint_rational(text, index: int) -> Fraction:
+    """A ``p/q`` literal of :mod:`rationals`, optionally negated so that an
+    out-of-range value is reported as such by ``_validate``."""
     if not isinstance(text, str):
         raise PLFormatError(index, f"coordinates must be rational strings, got {text!r}")
+    negative = text.startswith("-")
+    m = _RAT_RE.match(text[negative:])
     try:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        if m:
+            value = Fraction(int(m.group(1)), int(m.group(2) or 1))
+            return -value if negative else value
     except (ValueError, ZeroDivisionError):
-        raise PLFormatError(index, f"malformed rational {text!r}") from None
+        pass
+    raise PLFormatError(index, f"malformed rational {text!r}")
 
 
 def from_json(data) -> PLFunc:
@@ -418,8 +465,8 @@ def random_plfunc(rng: Random, max_interior: int = 3, depth: int = 4) -> PLFunc:
     grid = 2**depth
     count = rng.randint(0, max_interior)
     interior = sorted(rng.sample(range(1, grid), count)) if count else []
-    xs = [Fraction(0)] + [Fraction(k, grid) for k in interior] + [Fraction(1)]
-    return PLFunc([(x, Fraction(rng.randint(0, grid), grid)) for x in xs])
+    xs = [0, *interior, grid]
+    return _reduce(grid, xs, [rng.randint(0, grid) for _ in xs])
 
 
 def random_fnseq(

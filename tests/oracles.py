@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ from mvdelta.goodseq import (
     xi_zero,
 )
 from mvdelta.linarith import CONSTRAINT_CAP, BudgetExceeded
+from mvdelta.plfunc import IsbellHypothesisError
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import Hom, _hom_sort_key
 from mvdelta.terms import (
@@ -755,3 +757,161 @@ def parse_equation_by_recursion(text: str) -> Equation:
     rhs = parser.parse_term()
     parser.expect_eof()
     return Equation(lhs, relation, rhs)
+
+
+# --- The piecewise-linear functions in Fraction breakpoints ---------------------
+# The library's former bodies: a function is a canonical tuple of
+# (Fraction x, Fraction y) breakpoints, every intermediate is a point list
+# evaluated by bisection, and every result is canonicalised again.
+
+
+def _pl_canonical(points) -> tuple:
+    out = [points[0]]
+    for p in points[1:]:
+        while len(out) >= 2:
+            a, b = out[-2], out[-1]
+            if (b[1] - a[1]) * (p[0] - b[0]) == (p[1] - b[1]) * (b[0] - a[0]):
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return tuple(out)
+
+
+def _raw_eval(points, xs, x: Fraction) -> Fraction:
+    i = bisect_right(xs, x)
+    if i == len(xs):
+        return points[-1][1]
+    (x0, y0), (x1, y1) = points[i - 1], points[i]
+    if x == x0:
+        return y0
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _combine_raw(fns, coeffs) -> list:
+    """Pointwise linear combination sum(c_i * f_i)."""
+    xs = sorted({x for f in fns for x, _ in f})
+    cached = [(f, [x for x, _ in f]) for f in fns]
+    out = []
+    for x in xs:
+        y = Fraction(0)
+        for (f, fxs), c in zip(cached, coeffs):
+            y += Fraction(c) * _raw_eval(f, fxs, x)
+        out.append((x, y))
+    return out
+
+
+def _insert_crossings(points, level: Fraction) -> list:
+    out = [points[0]]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if (y0 - level) * (y1 - level) < 0:
+            out.append((x0 + (level - y0) * (x1 - x0) / (y1 - y0), level))
+        out.append((x1, y1))
+    return out
+
+
+def _clip_above(points, level) -> list:
+    level = Fraction(level)
+    return [(x, min(y, level)) for x, y in _insert_crossings(points, level)]
+
+
+def _clip_below(points, level) -> list:
+    level = Fraction(level)
+    return [(x, max(y, level)) for x, y in _insert_crossings(points, level)]
+
+
+def pl_eval_by_fractions(f, x) -> Fraction:
+    return _raw_eval(f, [p[0] for p in f], Fraction(x))
+
+
+def pl_delta_by_fractions(prefix, tail) -> tuple:
+    k = len(prefix)
+    coeffs = [Fraction(1, 2**i) for i in range(1, k + 1)] + [Fraction(1, 2**k)]
+    points = _combine_raw([*prefix, tail], coeffs)
+    if any(y < 0 or y > 1 for _, y in points):
+        raise AssertionError("delta combination left the unit interval")
+    return _pl_canonical(points)
+
+
+def pl_scale_by_fractions(r, f) -> tuple:
+    return _pl_canonical([(x, Fraction(r) * y) for x, y in f])
+
+
+def pl_precompose_by_fractions(f, phi) -> tuple:
+    xs = {x for x, _ in phi}
+    f_breaks = [x for x, _ in f]
+    for (u, a), (v, b) in zip(phi, phi[1:]):
+        if a == b:
+            continue
+        lo, hi = (a, b) if a < b else (b, a)
+        for c in f_breaks:
+            if lo < c < hi:
+                xs.add(u + (c - a) * (v - u) / (b - a))
+    return _pl_canonical(
+        [(x, pl_eval_by_fractions(f, pl_eval_by_fractions(phi, x))) for x in sorted(xs)]
+    )
+
+
+def pl_uniform_dist_by_fractions(f, g) -> Fraction:
+    return max(abs(y) for _, y in _combine_raw([f, g], [1, -1]))
+
+
+def pl_leq_by_fractions(f, g) -> bool:
+    return all(y >= 0 for _, y in _combine_raw([g, f], [1, -1]))
+
+
+class PLByFractions(Carrier):
+    """The piecewise-linear functions as canonical Fraction point tuples."""
+
+    spec = "pl-by-fractions"
+
+    def zero(self):
+        return (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+    def oplus(self, x, y):
+        return _pl_canonical(_clip_above(_combine_raw([x, y], [1, 1]), 1))
+
+    def neg(self, x):
+        return tuple((a, 1 - b) for a, b in x)
+
+    def leq(self, x, y):
+        return pl_leq_by_fractions(x, y)
+
+    def delta(self, prefix, tail):
+        return pl_delta_by_fractions(prefix, tail)
+
+
+PL_BY_FRACTIONS = PLByFractions()
+
+
+def pl_increasing_approx_by_fractions(target, depth: int) -> list:
+    out = []
+    for i in range(1, depth + 1):
+        shift = Fraction(3, 2 ** (i + 2))
+        out.append(_pl_canonical(_clip_below([(x, y - shift) for x, y in target], 0)))
+    return out
+
+
+def pl_isbell_reconstruct_by_fractions(seq) -> tuple:
+    """The reconstruction, raising IsbellHypothesisError as the library does."""
+    zero = PL_BY_FRACTIONS.zero()
+    norm1 = pl_uniform_dist_by_fractions(seq[0], zero)
+    if norm1 > Fraction(1, 2):
+        raise IsbellHypothesisError(1, norm1, "first entry has norm above 1/2")
+    previous, increments = zero, []
+    for i, current in enumerate(seq, start=1):
+        if not pl_leq_by_fractions(previous, current):
+            gap = pl_uniform_dist_by_fractions(previous, current)
+            raise IsbellHypothesisError(i, gap, "sequence is not increasing")
+        if i >= 2:
+            gap = pl_uniform_dist_by_fractions(current, previous)
+            if gap > Fraction(1, 2**i):
+                raise IsbellHypothesisError(i, gap, f"step exceeds the bound 1/{2**i}")
+        scaled = _combine_raw([PL_BY_FRACTIONS.ominus(current, previous)], [2**i])
+        if any(y < 0 or y > 1 for _, y in scaled):
+            raise IsbellHypothesisError(
+                i, max(y for _, y in scaled), "scaled increment left [0, 1]"
+            )
+        increments.append(_pl_canonical(scaled))
+        previous = current
+    return pl_delta_by_fractions(increments, increments[-1])

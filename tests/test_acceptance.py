@@ -155,13 +155,12 @@ def test_criterion_4_delta_axioms_on_function_carrier():
     rng = random.Random(20260809)
     instantiations = 1000
     for law in laws:
-        expanded_l = terms.expand(law.lhs)
-        expanded_r = terms.expand(law.rhs)
-        variables = sorted(terms.free_vars(law.lhs) | terms.free_vars(law.rhs))
+        code, (lhs, rhs), _ = terms.compile_core((terms.expand(law.lhs), terms.expand(law.rhs)))
+        variables = terms.program_vars(code)
         for _ in range(instantiations):
             assignment = {v: random_plfunc(rng, max_interior=2, depth=4) for v in variables}
-            lv = terms.evaluate_core(expanded_l, assignment, PL_CARRIER)
-            rv = terms.evaluate_core(expanded_r, assignment, PL_CARRIER)
+            values = terms.run(code, assignment, PL_CARRIER)
+            lv, rv = values[lhs], values[rhs]
             if law.relation == "eq":
                 assert lv == rv, (law.name, assignment)
             else:

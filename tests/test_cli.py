@@ -312,6 +312,23 @@ def test_deep_json_target_is_a_usage_error(capsys, tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ('x=[["[","0"],["1","1"]]', "breakpoint 0: malformed rational '['"),
+        ('x=[["0",")"],["1","1"]]', "breakpoint 0: malformed rational ')'"),
+        ('x=[["0","0"],["1","]],[1"]]', "breakpoint 1: malformed rational ']],[1'"),
+        ('x=[["0","\\"]"],["1","1"]]', "breakpoint 0: malformed rational '\"]'"),
+    ],
+    ids=["open_bracket", "close_paren", "comma", "escaped_quote"],
+)
+def test_assign_split_skips_json_strings(capsys, assign, message):
+    # Brackets and commas inside a JSON string neither nest nor split.
+    code, text = invoke("eval", "oplus(x, y)", "--carrier", "pl", "--assign", assign + ",y=0")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _nested_prod(depth: int) -> str:
     return "prod(" * depth + "chain:1" + ")" * depth
 

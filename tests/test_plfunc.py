@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdelta import corpus, terms
 from mvdelta.carriers import Q01_CARRIER, carrier_from_spec
@@ -35,7 +37,8 @@ from mvdelta.plfunc import (
     to_json,
     uniform_dist,
 )
-from mvdelta.rationals import Q01
+from mvdelta.rationals import Q01, parse_q01
+import oracles
 
 
 def F(*pts):
@@ -286,6 +289,27 @@ def test_json_roundtrip_and_loader_errors(tmp_path):
         from_json({"not": "a list"})
 
 
+@pytest.mark.parametrize("text", ["1_0/1_0", "1_0", " 1", "1 ", "+1", "1/+2", "1/-2", "--1", "-", "1/0", "0x1"])
+def test_breakpoint_literals_follow_the_rational_grammar(text):
+    # The grammar of parse_q01: digits, optionally "/" and digits.
+    with pytest.raises(ValueError):
+        parse_q01(text)
+    with pytest.raises(PLFormatError) as err:
+        from_json([["0", "0"], ["1/2", text], ["1", "1"]])
+    assert err.value.index == 1 and str(err.value) == f"breakpoint 1: malformed rational {text!r}"
+
+
+@pytest.mark.parametrize("text", ["-1", "-1/2", "-3/2", "3/2"])
+def test_out_of_range_breakpoints_are_reported_as_such(text):
+    with pytest.raises(PLFormatError) as err:
+        from_json([["0", "0"], ["1/2", text], ["1", "1"]])
+    assert str(err.value) == f"breakpoint 1: value {Fraction(text)} outside [0, 1]"
+
+
+def test_negative_zero_breakpoint_is_zero():
+    assert from_json([["0", "-0"], ["1", "-0/3"]]) == pl_const(0)
+
+
 def test_random_plfunc_is_seed_deterministic():
     a = [random_plfunc(random.Random(77)) for _ in range(5)]
     b = [random_plfunc(random.Random(77)) for _ in range(5)]
@@ -322,3 +346,87 @@ def test_derived_ops_cross_check():
     assert pl_odot(ident, pl_neg(ident)) == pl_neg(pl_oplus(pl_neg(ident), ident))
     assert pl_ominus(tent, tent) == pl_const(0)
     assert pl_join(ident, tent) == pl_neg(pl_meet(pl_neg(ident), pl_neg(tent)))
+
+
+# Denominators of every kind (1, powers of two, odd), mixed in one function.
+_BREAKPOINTS = st.lists(
+    st.tuples(st.sampled_from((1, 2, 3, 4, 5, 7, 9, 12, 16, 25, 27)), st.integers(0, 26), st.integers(0, 26)),
+    min_size=2,
+    max_size=6,
+)
+
+
+def _unit(d: int, n: int) -> Fraction:
+    return Fraction(n % (d + 1), d)
+
+
+@st.composite
+def _functions(draw):
+    raw = draw(_BREAKPOINTS)
+    interior = {Fraction(n % (d - 1) + 1, d) for d, n, _ in raw[2:] if d > 1}
+    xs = [Fraction(0), *sorted(interior), Fraction(1)]
+    return PLFunc(list(zip(xs, (_unit(d, m) for d, _, m in raw))))
+
+
+def _points(f: PLFunc):
+    # An operation's result is already in the one normal form that the
+    # validating constructor builds, denominator and all.
+    assert f == PLFunc(f.points)
+    return f.points
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except IsbellHypothesisError as exc:
+        return str(exc), exc.index, exc.norm
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    _functions(), _functions(), _functions(), st.lists(_functions(), max_size=3),
+    st.builds(_unit, st.sampled_from((1, 3, 8, 15)), st.integers(0, 15)), st.integers(1, 5),
+    st.integers(1, 3),
+)
+def test_integer_breakpoints_agree_with_fraction_oracle(f, g, phi, prefix, r, n, depth):
+    # Equal canonical points, operation by operation, with the former
+    # Fraction implementation kept in tests/oracles.py.
+    ref = oracles.PL_BY_FRACTIONS
+    F, G = f.points, g.points
+    for name in ("oplus", "odot", "ominus", "dist", "join", "meet"):
+        assert _points(getattr(PL_CARRIER, name)(f, g)) == getattr(ref, name)(F, G), name
+    assert _points(pl_neg(f)) == ref.neg(F)
+    assert _points(pl_nfold(n, f)) == ref.nfold(n, F)
+    assert _points(pl_delta(prefix, g)) == oracles.pl_delta_by_fractions([p.points for p in prefix], G)
+    assert _points(pl_scale(r, f)) == oracles.pl_scale_by_fractions(r, F)
+    assert _points(pl_precompose(f, phi)) == oracles.pl_precompose_by_fractions(F, phi.points)
+    assert pl_leq(f, g) == oracles.pl_leq_by_fractions(F, G)
+    assert uniform_dist(f, g) == oracles.pl_uniform_dist_by_fractions(F, G)
+    stages = increasing_approx(f, depth)
+    assert [_points(s) for s in stages] == oracles.pl_increasing_approx_by_fractions(F, depth)
+    half = Q01(1, 2)
+    for seq in (
+        increasing_approx(pl_scale(half, f), depth),  # every hypothesis holds
+        [pl_scale(half, g), pl_scale(half, pl_join(f, g))],  # the step bound may fail
+        [f, g, phi][:depth],  # most fail
+    ):
+        want = _outcome(lambda: oracles.pl_isbell_reconstruct_by_fractions([s.points for s in seq]))
+        assert _outcome(lambda: _points(isbell_reconstruct(seq))) == want
+
+
+def test_operations_skip_the_validating_constructor(monkeypatch):
+    rng = random.Random(5)
+    f, g, h = (random_plfunc(rng, depth=5) for _ in range(3))
+
+    def refuse(self, points):
+        raise AssertionError("PLFunc.__init__ called on an operation's result")
+
+    monkeypatch.setattr(PLFunc, "__init__", refuse)
+    pl_oplus(f, g)
+    pl_delta([f, g], h)
+    pl_delta([], h)
+    for op in (pl_odot, pl_ominus, pl_dist, pl_join, pl_meet, pl_leq, uniform_dist, pl_precompose):
+        op(f, g)
+    pl_neg(f), pl_nfold(5, f), pl_scale(Q01(2, 3), f), archimedean_certificate(f)
+    isbell_reconstruct(increasing_approx(pl_scale(Q01(1, 2), f), 4))
+    random_plfunc(rng), pl_const(Q01(1, 3)), pl_identity(), pl_tent()
