@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,7 +47,10 @@ __all__ = [
     "FiniteTables",
     "TABLE_ENTRY_BUDGET",
     "MAX_NESTING",
+    "OverBudget",
     "TableBudgetExceeded",
+    "WorkBudgetExceeded",
+    "check_work",
     "UnitInterval",
     "FiniteChain",
     "ProductAlg",
@@ -82,11 +87,27 @@ class ConstUnsupported(CarrierError):
     pass
 
 
+class OverBudget(Exception):
+    """Work refused before it starts, its size or estimated cost being past a budget."""
+
+
+class WorkBudgetExceeded(OverBudget):
+    """Work whose estimated steps pass its limit, refused before it runs."""
+
+
+def check_work(what: str, estimate: int, limit: int) -> None:
+    if estimate > limit:
+        raise WorkBudgetExceeded(
+            f"work budget exceeded: {what} needs about {Decimal(estimate):.2e} steps, "
+            f"over the limit of {limit}"
+        )
+
+
 # |A|^2 table entries at most: 1,024 elements.
 TABLE_ENTRY_BUDGET = 2**20
 
 
-class TableBudgetExceeded(CarrierError):
+class TableBudgetExceeded(OverBudget, CarrierError):
     """A finite carrier too large to tabulate, refused before any element is listed."""
 
 
@@ -423,7 +444,7 @@ class ProductAlg(Carrier):
         return "(" + ", ".join(f.format_element(a) for f, a in zip(self.factors, x)) + ")"
 
     def parse_element(self, text: str) -> tuple:
-        text = text.strip()
+        text = text.strip(" ")
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"product element must be a tuple literal, got {text!r}")
         parts = _split_top_level(text[1:-1])
@@ -431,7 +452,7 @@ class ProductAlg(Carrier):
             raise ValueError(
                 f"expected {len(self.factors)} components, got {len(parts)} in {text!r}"
             )
-        return tuple(f.parse_element(p.strip()) for f, p in zip(self.factors, parts))
+        return tuple(f.parse_element(p.strip(" ")) for f, p in zip(self.factors, parts))
 
 
 @dataclass(frozen=True, order=True)
@@ -457,6 +478,10 @@ class ChangElem:
 
     def __str__(self):
         return f"({self.level},{self.offset})"
+
+
+#: A Chang element literal ``(level,offset)``: ASCII digits, an optional minus.
+_CHANG_RE = re.compile(r"\( *(-?[0-9]+) *, *(-?[0-9]+) *\)")
 
 
 @dataclass(frozen=True)
@@ -509,13 +534,11 @@ class ChangAlgebra(Carrier):
         return str(self._check(x))
 
     def parse_element(self, text: str) -> ChangElem:
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
+        text = text.strip(" ")
+        m = _CHANG_RE.fullmatch(text)
+        if m is None:
             raise ValueError(f"Chang element must look like (level,offset), got {text!r}")
-        parts = text[1:-1].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"Chang element must look like (level,offset), got {text!r}")
-        return ChangElem(int(parts[0]), int(parts[1]))
+        return ChangElem(int(m[1]), int(m[2]))
 
 
 Q01_CARRIER = UnitInterval()
@@ -569,7 +592,7 @@ def carrier_from_spec(spec: str) -> Carrier:
     depth = _nesting_depth(spec)
     if depth > MAX_NESTING:
         raise ValueError(f"carrier spec nested {depth} deep, over the limit of {MAX_NESTING}")
-    spec = spec.strip()
+    spec = spec.strip(" ")
     if spec == "q01":
         return Q01_CARRIER
     if spec == "chang":
@@ -579,11 +602,13 @@ def carrier_from_spec(spec: str) -> Carrier:
 
         return PL_CARRIER
     if spec.startswith("chain:"):
+        digits = spec[len("chain:"):]
         try:
-            n = int(spec[len("chain:"):])
-        except ValueError:
-            raise ValueError(f"bad chain spec {spec!r}") from None
-        return FiniteChain(n)
+            if digits.isascii() and digits.isdigit():
+                return FiniteChain(int(digits))
+        except ValueError:  # more digits than Python converts to an int
+            pass
+        raise ValueError(f"bad chain spec {spec!r}")
     if spec.startswith("prod(") and spec.endswith(")"):
         inner = _split_top_level(spec[len("prod(") : -1])
         if not inner:

@@ -14,32 +14,37 @@ Carrier specs: ``chain:n``, ``chang``, ``prod(...)``, ``pl``, and
 ``q01`` (the rational unit interval, used to replay counterexamples).
 
 Exit codes: 0 success/valid, 1 counterexample or obstruction found,
-2 usage or parse error (also a value too long to print, and a carrier
-spec or JSON literal nested past ``carriers.MAX_NESTING``), 3 budget
-exceeded (a finite carrier of more than 1,024 elements, whose operation
-tables would pass ``carriers.TABLE_ENTRY_BUDGET``, and a ``gammaxi``
-round trip estimated past ``goodseq.WORK_BUDGET``).
-Terms nest to any depth, and ``nfold`` and ``halfn`` are evaluated
-without unrolling their counts, so ``nfold(100000000, x)`` answers at
-once.  All rationals print as ``p/q``; identical invocations produce
-identical output.
+2 usage or parse error (also an unbound variable, a value too long to
+print, and a carrier spec or JSON literal nested past
+``carriers.MAX_NESTING``), 3 budget exceeded (``check``'s piece budget,
+and, refused before the work starts with one ``error:`` line on stderr, a
+finite carrier past ``carriers.TABLE_ENTRY_BUDGET``, i.e. of more than
+1,024 elements, a ``gammaxi`` round trip estimated past
+``goodseq.WORK_BUDGET`` and an ``isbell`` run estimated past
+``plfunc.ISBELL_WORK_BUDGET``).  Terms nest to any depth, and ``nfold``
+and ``halfn`` are evaluated without unrolling their counts, so
+``nfold(100000000, x)`` answers at once.  All rationals print as
+``p/q``; identical invocations produce identical output.
+
+Importing this module loads only what every subcommand runs (``terms``,
+``carriers``, ``rationals``); each handler imports the rest itself, so a
+process compiles only the modules its subcommand uses.  ``radical``,
+``run`` and ``_HANDLERS`` stay module-level: ``bench/tracing.py``
+patches them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
-import random
 import sys
-from fractions import Fraction
 
-from . import corpus, decide, goodseq, plfunc, spectrum, terms
+from . import terms
 from .carriers import (
     CarrierError,
     ChangAlgebra,
     FiniteChain,
-    TableBudgetExceeded,
+    OverBudget,
     _split_top_level,
     carrier_from_spec,
     halving_witness,
@@ -81,7 +86,7 @@ def _print_text(render, out):
     print(text, file=out)
 
 
-def _print_counterexample(cx: decide.Counterexample, out):
+def _print_counterexample(cx, out):
     def render() -> str:
         lines = ["Counterexample:", *(f"  {v} = {cx.assignment[v]}" for v in sorted(cx.assignment))]
         return "\n".join([*lines, f"  lhs = {cx.lhs_value}", f"  rhs = {cx.rhs_value}"])
@@ -90,6 +95,8 @@ def _print_counterexample(cx: decide.Counterexample, out):
 
 
 def _cmd_check(args, out) -> int:
+    from . import decide
+
     eq = terms.parse_equation(args.equation)
     sampled = decide.sample_falsify(
         eq.lhs,
@@ -105,7 +112,8 @@ def _cmd_check(args, out) -> int:
     if args.sample_only:
         print(f"No violation in {args.trials} samples (not a proof)", file=out)
         return EXIT_OK
-    verdict = decide.decide(eq.lhs, eq.rhs, eq.relation, budget=args.budget)
+    budget = args.budget or decide.DEFAULT_PIECE_BUDGET
+    verdict = decide.decide(eq.lhs, eq.rhs, eq.relation, budget=budget)
     if isinstance(verdict, decide.Valid):
         print("Valid", file=out)
         return EXIT_OK
@@ -125,7 +133,7 @@ def _parse_assignment(text: str, carrier) -> dict:
         name, sep, value = chunk.partition("=")
         if not sep:
             raise ValueError(f"assignment {chunk!r} is not of the form name=value")
-        assignment[name.strip()] = carrier.parse_element(value.strip())
+        assignment[name.strip(" ")] = carrier.parse_element(value.strip(" "))
     return assignment
 
 
@@ -139,25 +147,28 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_axioms(args, out) -> int:
+    import random
+
+    from . import corpus
+
     carrier = carrier_from_spec(args.carrier)
     laws = corpus.axiom_suite(max_prefix=2, max_n=4)
     rng = random.Random(args.seed)
+    if carrier.spec == "pl":
+        from . import plfunc
+
+        def draw():
+            return plfunc.random_plfunc(rng, max_interior=3, depth=4)
+    else:
+        def draw():
+            return carrier.const(Q01(rng.randint(0, 2**4), 2**4))
     failures = 0
     for law in laws:
         code, (lhs, rhs), _ = terms.compile_core((terms.expand(law.lhs), terms.expand(law.rhs)))
         variables = terms.program_vars(code)
         bad = None
         for _ in range(args.trials):
-            if isinstance(carrier, plfunc.PLCarrier):
-                assignment = {
-                    v: plfunc.random_plfunc(rng, max_interior=3, depth=4) for v in variables
-                }
-            else:
-                grid = 2**4
-                assignment = {
-                    v: carrier.const(Q01(rng.randint(0, grid), grid))
-                    for v in variables
-                }
+            assignment = {v: draw() for v in variables}
             values = terms.run(code, assignment, carrier)
             lv, rv = values[lhs], values[rhs]
             holds = carrier.eq(lv, rv) if law.relation == "eq" else carrier.leq(lv, rv)
@@ -176,7 +187,7 @@ def _cmd_axioms(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_FOUND
 
 
-def _spectrum_as_dict(result: spectrum.SpectrumResult) -> dict:
+def _spectrum_as_dict(result) -> dict:
     carrier = result.carrier
     elements = carrier.tables.elements
 
@@ -200,6 +211,10 @@ def _spectrum_as_dict(result: spectrum.SpectrumResult) -> dict:
 
 
 def _cmd_spectrum(args, out) -> int:
+    import json
+
+    from . import spectrum
+
     carrier = carrier_from_spec(args.algebra)
     if isinstance(carrier, ChangAlgebra):
         hom, kernel_desc, injective = spectrum.chang_eta()
@@ -246,6 +261,8 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_gammaxi(args, out) -> int:
+    from . import goodseq
+
     report = goodseq.gamma_of_xi(FiniteChain(args.chain))
     iso = goodseq.xi_chain_iso(args.chain, args.bound)
     print(
@@ -263,13 +280,16 @@ def _cmd_gammaxi(args, out) -> int:
 
 
 def _cmd_isbell(args, out) -> int:
+    from . import plfunc
+
     target = plfunc.load_plfunc(args.target)
     half_target = plfunc.pl_scale(Q01(1, 2), target)
+    plfunc.check_isbell_work(half_target, args.depth)
     stages = plfunc.increasing_approx(half_target, args.depth)
     result = plfunc.isbell_reconstruct(stages)
     plfunc.save_plfunc(result, args.out)
     achieved = plfunc.uniform_dist(result, half_target)
-    guarantee = Fraction(1, 2**args.depth)
+    guarantee = Q01(1, 2**args.depth)
     print(f"reconstructed half of the target with {args.depth} stages", file=out)
     print(f"exact error: {achieved}  (guarantee {guarantee})", file=out)
     if achieved > guarantee:
@@ -313,7 +333,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-only", action="store_true")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--budget", type=_int_at_least(1), default=decide.DEFAULT_PIECE_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(1), default=None)
     p.add_argument("--depth", type=_int_at_least(1), default=8)
 
     p = sub.add_parser("eval", help="evaluate a term over a carrier")
@@ -358,19 +378,12 @@ _HANDLERS = {
 
 
 def run(argv, out=None) -> int:
-    """Execute a CLI invocation; returns the exit code.
+    """Execute a CLI invocation; returns the exit code (see above).
 
-    Nothing recurses on a term, so ``neg`` applied 100,000 times
-    evaluates like any other term.  An unbound variable, a carrier spec
-    or JSON literal nested past ``carriers.MAX_NESTING``, and a value
-    holding a number with more digits than Python converts to text
-    (``halfn(100000, x)`` at ``x=1/3``, or a ``check`` counterexample at
-    ``--depth 20000``), each end in one ``error:`` line and exit 2, with
-    nothing on stdout.
-    A finite carrier past the table budget, and a ``gammaxi`` round trip
-    whose estimated work passes the work budget, end in one ``error:``
-    line naming the budget, the size or estimate and the limit, and exit
-    3, before the work starts.
+    A usage or budget error raised by a handler, such as a number with
+    more digits than Python converts to text (``halfn(100000, x)`` at
+    ``x=1/3``), prints one ``error:`` line on stderr and nothing on
+    stdout; a budget error names the size or estimate and the limit.
     """
     out = out if out is not None else sys.stdout
     try:
@@ -379,12 +392,9 @@ def run(argv, out=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
-    except (TableBudgetExceeded, goodseq.WorkBudgetExceeded) as exc:
+    except (OverBudget, ParseError, CarrierError, UnboundVariable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ParseError, CarrierError, UnboundVariable, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, OverBudget) else EXIT_USAGE
 
 
 def main() -> int:

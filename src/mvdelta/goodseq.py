@@ -22,11 +22,10 @@ and refuse it past ``WORK_BUDGET``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 
-from .carriers import Carrier, CarrierMismatch, FiniteChain
+from .carriers import Carrier, CarrierMismatch, FiniteChain, WorkBudgetExceeded, check_work
 
 __all__ = [
     "GoodSeq",
@@ -61,19 +60,6 @@ __all__ = [
 #: (0.05 to 0.2 microseconds each on a 2-vCPU VM, so an admitted round
 #: trip takes at most about 2 s).
 WORK_BUDGET = 10**7
-
-
-class WorkBudgetExceeded(Exception):
-    """A round trip whose estimated work passes WORK_BUDGET, refused
-    before its pair loops run."""
-
-
-def _check_work(what: str, estimate: int) -> None:
-    if estimate > WORK_BUDGET:
-        raise WorkBudgetExceeded(
-            f"work budget exceeded: {what} needs about {Decimal(estimate):.2e} steps, "
-            f"over the limit of {WORK_BUDGET}"
-        )
 
 
 class NotGoodSequence(ValueError):
@@ -324,7 +310,7 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     elements = carrier.tabulable_size()
     # () and each (a) with a nonzero are good: at least |A| sequences.
     least = elements if max_len >= 1 else 1
-    _check_work(f"gamma_of_xi({carrier.spec})", least**2 * (elements + 1))
+    check_work(f"gamma_of_xi({carrier.spec})", least**2 * (elements + 1), WORK_BUDGET)
     K = _Indices(carrier.tables)
     size = range(K.size())
     sums: dict[tuple, tuple] = {}
@@ -349,7 +335,7 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     unit, zero = images[K.one()], ((), ())
     seqs = _good_seqs(K, max_len)
     # Every pair of sequences is tested against the classes found so far.
-    _check_work(f"gamma_of_xi({carrier.spec})", len(seqs) ** 2 * (len(size) + 1))
+    check_work(f"gamma_of_xi({carrier.spec})", len(seqs) ** 2 * (len(size) + 1), WORK_BUDGET)
 
     classes: list[tuple] = []
     for pos in seqs:
@@ -412,7 +398,8 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
         raise ValueError(f"bound must be >= 0, got {bound}")
     cap = bound.numerator * n // bound.denominator
     # cap + 1 sequences of at most ceil(cap / n) entries, summed in pairs.
-    _check_work(f"xi_chain_iso({n}, {bound})", (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2)
+    estimate = (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2
+    check_work(f"xi_chain_iso({n}, {bound})", estimate, WORK_BUDGET)
     K = _Indices(FiniteChain(n).tables)
     # Every entry but the last is the top n, so none is longer than ceil(cap / n).
     seqs = [s for s in _good_seqs(K, -(-cap // n)) if sum(s) <= cap]

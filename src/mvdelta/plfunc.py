@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .carriers import MAX_NESTING, Carrier, _nesting_depth
+from .carriers import MAX_NESTING, Carrier, _nesting_depth, check_work
 from .rationals import _RAT_RE, Q01, parse_q01
 
 __all__ = [
@@ -56,6 +56,8 @@ __all__ = [
     "pl_leq",
     "increasing_approx",
     "isbell_reconstruct",
+    "ISBELL_WORK_BUDGET",
+    "check_isbell_work",
     "archimedean_certificate",
     "to_json",
     "from_json",
@@ -340,6 +342,20 @@ def increasing_approx(target: PLFunc, depth: int) -> list[PLFunc]:
     return out
 
 
+#: Largest estimated work of one reconstruction, in sweep steps (0.3 to
+#: 2.6 ns each on a 2-vCPU VM; the largest admitted runs take 0.2 to 1 s).
+ISBELL_WORK_BUDGET = 10**9
+
+
+def check_isbell_work(target: PLFunc, depth: int) -> None:
+    """Refuse, before any stage is built, a reconstruction whose delta sum
+    sweeps depth + 1 increments over up to b + depth (b - 1) points (a zero
+    crossing per stage and segment), on ints growing with depth and den."""
+    b, n = len(target.xs), max(depth, 0)
+    estimate = (n + 1) * (b + n * (b - 1)) * (n + target.den.bit_length() + 40) ** 2
+    check_work(f"isbell at depth {depth} on {b} breakpoints", estimate, ISBELL_WORK_BUDGET)
+
+
 def isbell_reconstruct(seq) -> PLFunc:
     """Rebuild the limit of an increasing sequence as one delta value.
 
@@ -408,7 +424,7 @@ def _parse_breakpoint_rational(text, index: int) -> Fraction:
     if not isinstance(text, str):
         raise PLFormatError(index, f"coordinates must be rational strings, got {text!r}")
     negative = text.startswith("-")
-    m = _RAT_RE.match(text[negative:])
+    m = _RAT_RE.fullmatch(text[negative:])
     try:
         if m:
             value = Fraction(int(m.group(1)), int(m.group(2) or 1))

@@ -5,9 +5,11 @@ floating point anywhere.  The MV operations on these values live on
 :data:`mvdelta.carriers.Q01_CARRIER`, the carrier of the standard
 MV-algebra.
 
-Rational literals are written ``p/q`` (no whitespace) with the integer
-shorthands ``0`` and ``1``; ``str()`` of a :class:`Q01` produces exactly
-that syntax, so values round-trip through reports and the CLI.
+Rational literals are written ``p/q`` with the integer shorthands ``0``
+and ``1``: ``p`` and ``q`` are runs of the ASCII digits ``0-9``, with no
+sign, whitespace, underscore or other character anywhere (a trailing
+newline included).  ``str()`` of a :class:`Q01` produces exactly that
+syntax, in lowest terms, so values round-trip through reports and the CLI.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ class Q01(Fraction):
 ZERO = Q01(0)
 ONE = Q01(1)
 
-_RAT_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_q01(text: str) -> Q01:
     """Parse ``p/q`` or integer shorthand into a canonical Q01."""
-    m = _RAT_RE.match(text)
+    m = _RAT_RE.fullmatch(text)
     if not m:
         raise ValueError(f"malformed rational literal {text!r} (expected p/q)")
     num = int(m.group(1))

@@ -414,6 +414,13 @@ def test_unbound_variable_is_a_usage_error(capsys, argv, name):
     assert capsys.readouterr().err == f"error: unbound variable {name!r}\n"
 
 
+def fresh(*args):
+    """Run ``python *args`` in a new interpreter that imports this mvdelta."""
+    src = str(Path(mvdelta.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_one_process_gives_the_output_of_fresh_runs(capsys):
     # The parser is built once per process; each invocation must still
     # print what a new process prints.
@@ -423,11 +430,98 @@ def test_one_process_gives_the_output_of_fresh_runs(capsys):
         ("check", "oplus(x, x) = x"),
         ("eval", "oplus(x, y)", "--carrier"),
     ]
-    src = str(Path(mvdelta.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     for argv in calls:
         code, text = invoke(*argv)
         err = capsys.readouterr().err
-        fresh = subprocess.run([sys.executable, "-m", "mvdelta.cli", *argv],
-                               capture_output=True, text=True, env=env, timeout=60)
-        assert (code, text, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        done = fresh("-m", "mvdelta.cli", *argv)
+        assert (code, text, err) == (done.returncode, done.stdout, done.stderr), argv
+
+
+# In-process tests import every module, so only a new interpreter shows
+# what importing the CLI and running one subcommand load.
+_LOADED = "import sys; {}; print(*sorted(m for m in sys.modules if m.startswith('mvdelta')))"
+
+
+def test_importing_the_cli_loads_only_what_every_subcommand_runs():
+    done = fresh("-c", _LOADED.format("import mvdelta.cli"))
+    assert done.stdout.split() == [
+        "mvdelta", "mvdelta.carriers", "mvdelta.cli", "mvdelta.rationals", "mvdelta.terms",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, output, unloaded",
+    [
+        (("eval", "x", "--carrier", "q01", "--assign", "x=1/2"), "1/2",
+         ("decide", "linarith", "goodseq", "plfunc", "spectrum", "corpus")),
+        (("spectrum", "--algebra", "chain:2"), "basis of closed sets: {}, {m1}",
+         ("decide", "linarith", "goodseq", "plfunc", "corpus")),
+    ],
+    ids=["eval", "spectrum"],
+)
+def test_a_subcommand_loads_only_what_it_runs(argv, output, unloaded):
+    done = fresh("-c", _LOADED.format("from mvdelta.cli import run; run(sys.argv[1:])"), *argv)
+    *lines, loaded = done.stdout.splitlines()
+    assert lines[-1] == output
+    assert not {f"mvdelta.{name}" for name in unloaded} & set(loaded.split())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gammaxi", "--chain", "1000", "--bound", "1"),
+         "work budget exceeded: gamma_of_xi(chain:1000) needs about 1.00e+9 steps, "
+         "over the limit of 10000000"),
+        (("spectrum", "--algebra", "chain:2000"),
+         "table budget exceeded: chain:2000 has 2001 elements, over the limit of 1024 "
+         "(1048576 table entries)"),
+        (("isbell", "--target", "{tmp}/tent.json", "--depth", "1000", "--out", "{tmp}/out.json"),
+         "work budget exceeded: isbell at depth 1000 on 3 breakpoints needs about 2.18e+12 steps, "
+         "over the limit of 1000000000"),
+    ],
+    ids=["gammaxi", "spectrum", "isbell"],
+)
+def test_budgets_exit_3_in_a_fresh_process(tmp_path, argv, message):
+    save_plfunc(pl_tent(), str(tmp_path / "tent.json"))
+    done = fresh("-m", "mvdelta.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", f"error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "depth, estimate", [(130, "1.02e+9"), (100000, "2.00e+20")], ids=["just_over", "huge"]
+)
+def test_oversize_isbell_exits_on_the_work_budget(capsys, tmp_path, depth, estimate):
+    target, out = str(tmp_path / "tent.json"), str(tmp_path / "out.json")
+    save_plfunc(pl_tent(), target)
+    start = time.perf_counter()
+    code, text = invoke("isbell", "--target", target, "--depth", str(depth), "--out", out)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: work budget exceeded: isbell at depth {depth} on 3 breakpoints needs about "
+        f"{estimate} steps, over the limit of 1000000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "x", "--carrier", "chain:2", "--assign", "x=1/2\n"),
+        ("eval", "x", "--carrier", "q01", "--assign", "x=١/٢"),
+        ("eval", "nfold(٣, x)", "--carrier", "q01", "--assign", "x=1/2"),
+        ("eval", "1", "--carrier", "chain:٣"),
+        ("eval", "1", "--carrier", "chain: 3"),
+        ("eval", "1", "--carrier", "chain:+3"),
+        ("eval", "1", "--carrier", "chain:3_0"),
+        ("eval", "x", "--carrier", "chang", "--assign", "x=(0,+2)"),
+        ("eval", "x", "--carrier", "prod(chain:1,chain:2)", "--assign", "x=(1,1/2\n)"),
+    ],
+    ids=["trailing_newline", "arabic_digits", "arabic_count", "arabic_chain", "spaced_chain",
+         "signed_chain", "underscored_chain", "signed_chang", "newline_in_product"],
+)
+def test_literals_take_ascii_digits_only(capsys, argv):
+    code, text = invoke(*argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

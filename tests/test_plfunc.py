@@ -289,7 +289,9 @@ def test_json_roundtrip_and_loader_errors(tmp_path):
         from_json({"not": "a list"})
 
 
-@pytest.mark.parametrize("text", ["1_0/1_0", "1_0", " 1", "1 ", "+1", "1/+2", "1/-2", "--1", "-", "1/0", "0x1"])
+@pytest.mark.parametrize(
+    "text", ["1_0/1_0", "1_0", " 1", "1 ", "+1", "1/+2", "1/-2", "--1", "-", "1/0", "0x1", "1\n", "1/2\n", "١/٢", "１"]
+)
 def test_breakpoint_literals_follow_the_rational_grammar(text):
     # The grammar of parse_q01: digits, optionally "/" and digits.
     with pytest.raises(ValueError):

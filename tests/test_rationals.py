@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdelta.carriers import Q01_CARRIER
+from mvdelta.carriers import CHANG, Q01_CARRIER, carrier_from_spec
 from mvdelta.rationals import ONE, Q01, ZERO, parse_q01
+from mvdelta.terms import ParseError, parse, print_term
 
 oplus, neg, odot, ominus = Q01_CARRIER.oplus, Q01_CARRIER.neg, Q01_CARRIER.odot, Q01_CARRIER.ominus
 dist, join, meet, nfold = Q01_CARRIER.dist, Q01_CARRIER.join, Q01_CARRIER.meet, Q01_CARRIER.nfold
@@ -156,3 +157,93 @@ def test_absorption_identities(grid6):
         for y in grid6:
             assert oplus(oplus(x, y), odot(x, y)) == oplus(x, y)
             assert oplus(ominus(x, y), odot(oplus(x, neg(y)), y)) == x
+
+
+# --- literal grammar: ASCII digits only ----------------------------------------
+
+# Characters a literal might be mistyped with: other Unicode digits,
+# whitespace (a newline among it), signs, underscores and slashes.
+_FOREIGN = "٣３\U0001d7d1² \n\t\u00a0+-_/"
+
+
+@st.composite
+def _mistyped(draw, texts):
+    """A text drawn from texts, in half the draws with one foreign character
+    inserted or substituted."""
+    text = draw(texts)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        j = min(i + draw(st.integers(0, 1)), len(text))
+        text = text[:i] + draw(st.sampled_from(_FOREIGN)) + text[j:]
+    return text
+
+
+_rational_texts = _mistyped(st.builds(
+    lambda v, k: f"{v.numerator * k}/{v.denominator * k}" if k > 1 else str(v),
+    st.fractions(min_value=0, max_value=1, max_denominator=64), st.integers(1, 3),
+))
+_int_texts = _mistyped(st.integers(-30, 300).map(str))
+
+
+def _ascii_int(text: str, signed: bool = False):
+    """The int an ASCII digit run (optionally after one "-") denotes, else None."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if digits and all(ch in "0123456789" for ch in digits):
+        return int(text)
+    return None
+
+
+def _canonical_rational(text: str):
+    """The canonical print of a p/q literal in [0, 1], else None."""
+    parts = text.split("/")
+    ints = [_ascii_int(p) for p in parts]
+    if len(parts) > 2 or None in ints or (len(ints) == 2 and ints[1] == 0):
+        return None
+    value = Fraction(ints[0], ints[1] if len(ints) == 2 else 1)
+    return str(value) if value <= 1 else None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_rational_texts)
+def test_accepted_rational_literals_print_back_canonically(text):
+    expected = _canonical_rational(text)
+    try:
+        value = parse_q01(text)
+    except ValueError:
+        assert expected is None
+        return
+    assert str(value) == expected and parse_q01(expected) == value
+    if not any(ch.isspace() for ch in text):
+        assert print_term(parse(text)) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_texts)
+def test_accepted_counts_and_chain_specs_print_back_canonically(text):
+    n = _ascii_int(text.strip())  # counts are at least 1
+    try:
+        printed = print_term(parse(f"nfold({text}, x)"))
+    except ParseError:
+        assert not n
+    else:
+        assert n and printed == f"nfold({n}, x)"
+    n = _ascii_int(text.rstrip(" "))
+    try:
+        spec = carrier_from_spec("chain:" + text).spec
+    except ValueError:
+        assert n is None
+    else:
+        assert spec == f"chain:{n}" and carrier_from_spec(spec).spec == spec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_texts, _int_texts)
+def test_accepted_chang_literals_print_back_canonically(level, offset):
+    a, b = _ascii_int(level.strip(" "), signed=True), _ascii_int(offset.strip(" "), signed=True)
+    valid = None not in (a, b) and ((a == 0 and b >= 0) or (a == 1 and b <= 0))
+    try:
+        printed = CHANG.format_element(CHANG.parse_element(f"({level},{offset})"))
+    except ValueError:
+        assert not valid
+    else:
+        assert valid and printed == f"({a},{b})"
