@@ -15,20 +15,20 @@ chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
 algebra, realised as the unit interval of the lexicographic group Z x Z
 with unit (1, 0).  Elements (0, k) with k >= 1 are the infinitesimals.
 
-A finite carrier is tabulated once per instance (:class:`FiniteTables`,
-``carrier.tables``): its elements are numbered and its oplus, neg and
-order become integer tables, on which ideals, the radical and the
-infinitesimal test run.  A chain's tables are read off its own checked
-operations; a product's are composed from its factors' tables by
-mixed-radix index arithmetic, with no call to the product's operations.
-The tables are refused before any work when they would pass
-``TABLE_ENTRY_BUDGET`` entries (:class:`TableBudgetExceeded`).
+Ideals, the radical and the infinitesimal test run factor by factor,
+a finite carrier being a product of chains: each chain {0, 1/n, ..., 1}
+is checked on its own operations, O(n^2), never O(|A|^2).  Good
+sequences run on integer tables (:class:`FiniteTables`, built once per
+instance: a chain's read off its own operations, a product's composed
+from its factors' tables).  A finite carrier past ``TABLE_ENTRY_BUDGET``
+table entries is refused before any work (:class:`TableBudgetExceeded`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -627,99 +627,132 @@ class FiniteTables:
     and ``zero``, ``neg[i]``, ``oplus[i][j]`` and ``leq[i][j]`` are the
     operations on those numbers.  A chain's tables are read off its own
     operations; a product's are composed from its factors' tables
-    (``Carrier._tabulate``).  ``below[i]`` is the down-set of ``i``, a
-    column of ``leq``.  ``ideals`` holds the verified ideal list once
-    :func:`enumerate_ideals` has computed it.
+    (``Carrier._tabulate``).
     """
 
     def __init__(self, elements: list, zero: int, neg: list, oplus: list, leq: list):
-        size = range(len(elements))
         self.elements = elements
-        self.index = {x: i for i, x in enumerate(elements)}
         self.zero = zero
         self.neg = neg
         self.oplus = oplus
         self.leq = leq
-        self.below = [frozenset(j for j in size if leq[j][i]) for i in size]
-        self.ideals: list[frozenset] | None = None
-
-    def subset(self, positions) -> frozenset:
-        return frozenset(map(self.elements.__getitem__, positions))
-
-    def ominus(self, i: int, j: int) -> int:
-        return self.neg[self.oplus[self.neg[i]][j]]
-
-    def dist(self, i: int, j: int) -> int:
-        return self.oplus[self.ominus(i, j)][self.ominus(j, i)]
-
-    def is_ideal(self, s: frozenset[int]) -> bool:
-        """Contains 0, is down-closed and is closed under oplus."""
-        if self.zero not in s:
-            return False
-        oplus, below = self.oplus, self.below
-        return all(below[i] <= s and s.issuperset(map(oplus[i].__getitem__, s)) for i in s)
-
-    def principal_ideal(self, a: int) -> frozenset[int]:
-        """Down-set of the value at which the sums a, 2a, 3a, ... settle."""
-        s = a
-        while (t := self.oplus[s][a]) != s:
-            s = t
-        return self.below[s]
 
 
-def _position(carrier: Carrier, x) -> int:
-    """Index of x in the carrier's tables.  The carrier's own order check
-    runs first, so a non-element raises what the carrier raises
-    (CarrierMismatch for chains and products)."""
-    carrier.leq(x, x)
-    return carrier.tables.index[x]
+def _chains_and_elements(carrier: Carrier) -> tuple[list[FiniteChain], list]:
+    """The chain factors of a finite carrier, left to right through nested
+    products, and its elements in ``elements()`` order, from one walk
+    over its factors."""
+    if isinstance(carrier, FiniteChain):
+        return [carrier], carrier.elements()
+    if not isinstance(carrier, ProductAlg):
+        raise CarrierError(f"{carrier.spec} is not a product of finite chains")
+    parts = [_chains_and_elements(f) for f in carrier.factors]
+    chains = [c for factor_chains, _ in parts for c in factor_chains]
+    return chains, list(itertools.product(*(elements for _, elements in parts)))
+
+
+class _ChainFactors:
+    """A finite carrier, once its size has passed the table budget, as the
+    product of its chain factors: ``components[i]`` lists the entries of
+    ``elements[i]`` in ``chains`` (both lexicographic, last factor fastest,
+    so they line up through any nesting of products)."""
+
+    def __init__(self, carrier: Carrier):
+        carrier.tabulable_size()
+        self.carrier = carrier
+        self.chains, self.elements = _chains_and_elements(carrier)
+        self.components = list(itertools.product(*(c.elements() for c in self.chains)))
+        self.nontrivial = [p for p, c in enumerate(self.chains) if c.n]
+
+    def of(self, *xs) -> list[tuple]:
+        """The components of each x.  The carrier's own order check runs
+        first, so a non-element raises what the carrier raises
+        (CarrierMismatch for chains and products)."""
+        for x in xs:
+            self.carrier.leq(x, x)
+        components = dict(zip(self.elements, self.components))
+        return [components[x] for x in xs]
+
+    def ideal(self, zeroed) -> frozenset:
+        """The ideal that is {0} at the factors in zeroed and whole elsewhere
+        (every ideal of a product of chains is one of these)."""
+        if not zeroed:
+            return frozenset(self.elements)
+        at = operator.itemgetter(*zeroed)
+        zero = at(self.components[0])  # the first element is the zero
+        keep = map(zero.__eq__, map(at, self.components))
+        return frozenset(itertools.compress(self.elements, keep))
+
+
+def _ideal_order(ideal: frozenset):
+    return len(ideal), sorted(map(repr, ideal))
+
+
+def _first_excess(chain: FiniteChain, oplus, x: int, limit: int) -> int | None:
+    """The least n <= limit at which the n-fold sum of x (by the given oplus)
+    is not below neg(x) in the chain's own order, or None."""
+    negx, s = chain.neg(x), x
+    for n in range(1, limit + 1):
+        if not chain.leq(s, negx):
+            return n
+        s = oplus(s, x)
+    return None
+
+
+def _check_chain(chain: FiniteChain) -> None:
+    """Check on the chain's own operations ((n+1)^2 oplus calls) that
+    k -> k/n is a homomorphism into [0,1], i.e. in numerators zero is 0,
+    neg k = n - k and k oplus j = min(k + j, n); then that bounded
+    multiples, summed in that checked table, find its radical {0}."""
+    n, ks = chain.n, range(chain.n + 1)
+    capped = [min(s, n) for s in range(2 * n + 1)]
+    sums_agree = all(
+        list(map(chain.oplus, itertools.repeat(k), ks)) == capped[k : k + n + 1] for k in ks
+    )
+    if chain.zero() != 0 or list(map(chain.neg, ks)) != list(reversed(ks)) or not sums_agree:
+        raise AssertionError(f"k -> k/{n} failed the homomorphism check on {chain.spec}")
+    if any(_first_excess(chain, lambda s, y: capped[s + y], x, n + 1) is None for x in ks[1:]):
+        raise AssertionError(f"radical cross-check failed on {chain.spec}: an infinitesimal found")
 
 
 def is_ideal(carrier: Carrier, subset: frozenset) -> bool:
-    """Exact check of the three defining closure properties."""
-    tables = carrier.tables
+    """Whether subset is an ideal: a product of {0} or the whole chain at
+    each chain factor, the only ideals of a finite product of chains."""
+    factors = _ChainFactors(carrier)
     if carrier.zero() not in subset:
         return False
-    return tables.is_ideal(frozenset(_position(carrier, x) for x in subset))
+    spans = [set(column) for column in zip(*factors.of(*subset))]
+    return len(subset) == math.prod(map(len, spans)) and all(
+        span == {0} or len(span) == c.n + 1 for span, c in zip(spans, factors.chains)
+    )
 
 
 def principal_ideal(carrier: Carrier, a) -> frozenset:
-    """Smallest ideal containing a: the down-set of the stable multiple of a."""
-    tables = carrier.tables
-    return tables.subset(tables.principal_ideal(_position(carrier, a)))
+    """Smallest ideal containing a: {0} at the factors where a is 0."""
+    factors = _ChainFactors(carrier)
+    (components,) = factors.of(a)
+    return factors.ideal([p for p, k in enumerate(components) if not k])
 
 
 def enumerate_ideals(carrier: Carrier) -> list[frozenset]:
-    """All ideals of a finite carrier, each verified against the definition.
-
-    In a finite MV-algebra every ideal is the down-set of the stable
-    multiple of one of its elements, so ranging over principal ideals is
-    exhaustive.  The list is computed once per carrier instance and kept
-    in its tables.
-    """
-    if not carrier.is_finite():
-        raise CarrierError(f"ideal enumeration needs a finite carrier, not {carrier.spec}")
-    tables = carrier.tables
-    if tables.ideals is None:
-        seen = {tables.principal_ideal(a) for a in range(len(tables.elements))}
-        for ideal in seen:
-            if not tables.is_ideal(ideal):
-                raise AssertionError(f"generated set is not an ideal on {carrier.spec}")
-        tables.ideals = sorted(
-            map(tables.subset, seen), key=lambda s: (len(s), sorted(map(repr, s)))
-        )
-    return list(tables.ideals)
+    """All ideals of a finite carrier: every product of {0} or the whole
+    chain at each chain factor, by size, then by the sorted reprs of
+    their elements."""
+    factors = _ChainFactors(carrier)
+    element = dict(zip(factors.components, factors.elements))
+    sides = [[(0,), c.elements()] if c.n else [(0,)] for c in factors.chains]
+    return sorted(
+        (frozenset(map(element.__getitem__, itertools.product(*choice)))
+         for choice in itertools.product(*sides)),
+        key=_ideal_order,
+    )
 
 
 def maximal_ideals(carrier: Carrier) -> list[frozenset]:
-    ideals = enumerate_ideals(carrier)
-    size = len(carrier.tables.elements)
-    proper = [i for i in ideals if len(i) < size]
-    return [
-        i
-        for i in proper
-        if not any(i < j for j in proper if i is not j)
-    ]
+    """The kernels of the projections onto the nontrivial chain factors,
+    in the order of :func:`enumerate_ideals`."""
+    factors = _ChainFactors(carrier)
+    return sorted((factors.ideal([p]) for p in factors.nontrivial), key=_ideal_order)
 
 
 @dataclass(frozen=True)
@@ -744,11 +777,11 @@ class Radical:
 def radical(carrier: Carrier) -> Radical:
     """Radical ideal: intersection of maximal ideals.
 
-    Finite carriers are computed exactly and cross-checked against the
-    bounded-multiple characterisation ``n*x <= neg(x) for all n``: zero
-    and the elements :func:`is_infinitesimal` accepts, whose multiples
-    stabilise within the carrier size.  Chang's algebra and the
-    piecewise-linear carrier use closed forms.
+    A finite carrier has each chain factor checked (:func:`_check_chain`,
+    which finds its radical {0} by bounded multiples ``n*x <= neg(x)``);
+    the intersection of the maximal ideals is cross-checked against the
+    product of those radicals.  Chang's algebra and the piecewise-linear
+    carrier use closed forms.
     """
     if isinstance(carrier, ChangAlgebra):
         return Radical("chang", "closed-form", None, "{(0,k) : k >= 0}")
@@ -756,21 +789,21 @@ def radical(carrier: Carrier) -> Radical:
         return Radical("pl", "closed-form", None, "{0} (semisimple)")
     if not carrier.is_finite():
         raise CarrierError(f"no radical computation for carrier {carrier.spec}")
+    for chain in _ChainFactors(carrier).chains:
+        _check_chain(chain)
+    return _checked_radical(carrier)
+
+
+def _checked_radical(carrier: Carrier) -> Radical:
+    """The radical of a finite carrier whose chain factors have passed
+    :func:`_check_chain`: the maximal ideals meet in the zero alone."""
     maxes = maximal_ideals(carrier)
-    elems = carrier.tables.elements
-    if maxes:
-        inter = frozenset(elems).intersection(*maxes)
-    else:
-        # Trivial algebra: the only ideal is the whole algebra {0} with 0 = 1.
-        inter = frozenset(elems)
-    bound = len(elems)
-    by_multiples = frozenset(
-        x for x in elems if is_infinitesimal(carrier, x, bound=bound).verdict
-    ) | {carrier.zero()}
-    if inter != by_multiples:
+    # With no maximal ideal the algebra is trivial, {0} alone.
+    inter = frozenset.intersection(*maxes) if maxes else frozenset({carrier.zero()})
+    if inter != {carrier.zero()}:
         raise AssertionError(
             f"radical cross-check failed on {carrier.spec}: "
-            f"ideal intersection {inter} vs bounded multiples {by_multiples}"
+            f"ideal intersection {inter} vs bounded multiples {{{carrier.zero()}}}"
         )
     description = "{" + ", ".join(sorted(carrier.format_element(x) for x in inter)) + "}"
     return Radical(carrier.spec, "finite", inter, description)
@@ -787,7 +820,9 @@ def is_infinitesimal(carrier: Carrier, x, bound: int | None = None) -> Infinites
     """Decide whether x is infinitesimal (nonzero with n*x <= neg(x) for all n).
 
     Exact for Chang's algebra (closed form, bound ignored) and for finite
-    carriers (the multiples stabilise within the carrier size).
+    carriers, factor by factor with each chain's own oplus and order: the
+    multiples stabilise within the carrier size, and the first n to fail
+    is the least over the components.
     """
     if isinstance(carrier, ChangAlgebra):
         carrier._check(x)
@@ -800,18 +835,15 @@ def is_infinitesimal(carrier: Carrier, x, bound: int | None = None) -> Infinites
         return InfinitesimalCertificate(False, "x exceeds neg(x) already at n = 1", failing_n=1)
     if not carrier.is_finite():
         raise CarrierError(f"no exact infinitesimal test for carrier {carrier.spec}")
-    tables = carrier.tables
-    i = _position(carrier, x)
-    if i == tables.zero:
+    factors = _ChainFactors(carrier)
+    (components,) = factors.of(x)
+    if not any(components):
         return InfinitesimalCertificate(False, "zero is not infinitesimal")
-    limit = bound if bound is not None else len(tables.elements)
-    negx, s = tables.neg[i], i
-    for n in range(1, limit + 1):
-        if not tables.leq[s][negx]:
-            return InfinitesimalCertificate(
-                False, f"{n}-fold sum exceeds neg(x)", failing_n=n
-            )
-        s = tables.oplus[s][i]
+    limit = bound if bound is not None else len(factors.elements)
+    firsts = [_first_excess(c, c.oplus, k, limit) for c, k in zip(factors.chains, components) if k]
+    n = min((n for n in firsts if n is not None), default=None)
+    if n is not None:
+        return InfinitesimalCertificate(False, f"{n}-fold sum exceeds neg(x)", failing_n=n)
     return InfinitesimalCertificate(
         True, f"multiples stabilise below neg(x) within the carrier bound {limit}"
     )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import terms
@@ -62,12 +63,15 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _int_at_least(low: int):
-    """An argparse ``type=`` that accepts integers >= low (bad values exit 2)."""
+def _int_at_least(low: int | None = None):
+    """An argparse ``type=`` that accepts integers in ASCII digits, with an
+    optional minus, and >= low when low is given (bad values exit 2)."""
 
     def parse(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
@@ -187,24 +191,12 @@ def _cmd_axioms(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_FOUND
 
 
-def _spectrum_as_dict(result) -> dict:
-    carrier = result.carrier
-    elements = carrier.tables.elements
-
-    def fmt_ideal(ideal) -> list[str]:
-        return sorted(carrier.format_element(x) for x in ideal)
-
+def _spectrum_as_dict(result, names: dict) -> dict:
     return {
-        "algebra": carrier.spec,
-        "elements": len(elements),
-        "maximal_ideals": [fmt_ideal(m) for m in result.ideals],
-        "homs": [
-            {
-                carrier.format_element(x): str(h.table[x])
-                for x in elements
-            }
-            for h in result.homs
-        ],
+        "algebra": result.carrier.spec,
+        "elements": len(names),
+        "maximal_ideals": [sorted(names[x] for x in m) for m in result.ideals],
+        "homs": [{names[x]: str(h.table[x]) for x in names} for h in result.homs],
         "closed_sets": [list(c) for c in result.closed_sets],
         "basis": [list(b) for b in result.basis],
     }
@@ -237,21 +229,20 @@ def _cmd_spectrum(args, out) -> int:
     if not carrier.is_finite():
         raise CarrierError(f"spectrum needs a finite carrier or chang, not {carrier.spec}")
     result = spectrum.spectrum(carrier)
+    # Each element's text, in element order.
+    names = {x: carrier.format_element(x) for x in carrier.elements()}
     if args.json:
-        print(json.dumps(_spectrum_as_dict(result), indent=2, sort_keys=True), file=out)
+        print(json.dumps(_spectrum_as_dict(result, names), indent=2, sort_keys=True), file=out)
         return EXIT_OK
-    elements = carrier.tables.elements
     print(f"algebra: {carrier.spec}", file=out)
-    print(f"elements: {len(elements)}", file=out)
+    print(f"elements: {len(names)}", file=out)
     print(f"maximal ideals: {len(result.ideals)}", file=out)
     for i, m in enumerate(result.ideals, start=1):
-        body = ", ".join(sorted(carrier.format_element(x) for x in m))
+        body = ", ".join(sorted(names[x] for x in m))
         print(f"  m{i} = {{{body}}}", file=out)
     print(f"homs: {len(result.homs)}", file=out)
     for i, h in enumerate(result.homs, start=1):
-        pairs = ", ".join(
-            f"{carrier.format_element(x)} -> {h.table[x]}" for x in elements
-        )
+        pairs = ", ".join(f"{text} -> {h.table[x]}" for x, text in names.items())
         print(f"  h{i}: {pairs}", file=out)
     closed = ", ".join("{" + ",".join(f"m{i + 1}" for i in c) + "}" for c in result.closed_sets)
     print(f"closed sets: {closed}", file=out)
@@ -344,19 +335,19 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the axiom suite on random carrier elements")
     p.add_argument("--carrier", default="pl")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(), default=0)
 
     p = sub.add_parser("spectrum", help="maximal ideals, homs, Stone topology")
     p.add_argument("--algebra", required=True)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gammaxi", help="good-sequence round trips for a chain")
-    p.add_argument("--chain", type=int, required=True)
+    p.add_argument("--chain", type=_int_at_least(), required=True)
     p.add_argument("--bound", type=_int_at_least(0), required=True)
 
     p = sub.add_parser("isbell", help="reconstruct half of a target function")
     p.add_argument("--target", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(), required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("radical", help="radical of a carrier, infinitesimal tests")

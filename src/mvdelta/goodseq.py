@@ -11,12 +11,12 @@ equality, the embedding ``a -> [(a)]``, and two exhaustive round-trip
 verifications for finite carriers.
 
 The round trips run on a finite carrier's integer tables: a good
-sequence is a tuple of table indices, odot is derived from the tables'
-neg and oplus, and each monoid sum is computed and checked once per
-call.  The convolution formula and the goodness test are written once,
-for any carrier, and serve elements and table indices alike.  Both
-round trips estimate their work from the sizes before their pair loops
-and refuse it past ``WORK_BUDGET``.
+sequence is a tuple of table indices, odot is one table built from
+the tables' neg and oplus, and each monoid sum is computed and
+checked once per call.  The convolution formula and the goodness test
+are written once, for any carrier, and serve elements and table
+indices alike.  Both round trips estimate their work from the sizes
+before their pair loops and refuse it past ``WORK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -230,14 +230,15 @@ def xi_meet(x: XiElem, y: XiElem) -> XiElem:
 
 class _Indices(Carrier):
     """A finite carrier on the indices 0..|A|-1 of its tables: zero, oplus,
-    neg and leq are table lookups, and odot, join and meet are derived
-    from them by :class:`Carrier`, as they are on the carrier itself."""
+    neg, leq and odot (neg(oplus(neg i, neg j)), tabulated once) are table
+    lookups; join and meet are derived by :class:`Carrier`."""
 
     spec = "indices"
 
     def __init__(self, tables):
-        self._zero, self._oplus, self._neg, self._leq = (
-            tables.zero, tables.oplus, tables.neg, tables.leq)
+        neg, oplus = tables.neg, tables.oplus
+        self._zero, self._oplus, self._neg, self._leq = tables.zero, oplus, neg, tables.leq
+        self._odot = [[neg[s] for s in map(oplus[a].__getitem__, neg)] for a in neg]
 
     def zero(self) -> int:
         return self._zero
@@ -247,6 +248,9 @@ class _Indices(Carrier):
 
     def neg(self, i: int) -> int:
         return self._neg[i]
+
+    def odot(self, i: int, j: int) -> int:
+        return self._odot[i][j]
 
     def leq(self, i: int, j: int) -> bool:
         return self._leq[i][j]

@@ -1,21 +1,26 @@
 """Maximal spectra at desk scale: homomorphisms into [0,1], the Stone
 topology of a finite algebra, and the evaluation/point-kernel maps.
 
-For a finite carrier every maximal ideal induces a quotient that is a
-finite totally ordered simple algebra, and that quotient embeds into
-the rational unit interval in exactly one way (rank / size); composing
-gives the unique homomorphism attached to the ideal.  The classes,
-their order and the homomorphism check run on the carrier's integer
-operation tables (:class:`mvdelta.carriers.FiniteTables`), the check
-in numerators over the common denominator m.  Chang's algebra is
+A finite carrier is a product of finite chains, and it is computed
+factor by factor, with no table of the whole product.  Its maximal
+ideals are the kernels of the projections onto the nontrivial chain
+factors; the homomorphism attached to one is that projection followed
+by k -> k/n, the one embedding of the chain {0, 1/n, ..., 1} into
+[0,1], and is checked on that chain's own operations before it is
+returned.  Every subset of the maximal ideals is closed, so the Stone
+topology is discrete, and the radical is {0}.  Chang's algebra is
 handled by its closed form (one maximal ideal, the infinitesimals),
 and point-evaluation/precomposition homomorphisms of the function
 carrier support the delta-preservation checks.
+
+``bench/tracing.py`` patches ``maximal_ideals``, ``enumerate_ideals``,
+``radical`` and ``holder_hom`` here, so all four stay module-level names.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +29,10 @@ from .carriers import (
     CarrierError,
     ChangElem,
     FiniteChain,
-    FiniteTables,
     ProductAlg,
+    _ChainFactors,
+    _check_chain,
+    _checked_radical,
     enumerate_ideals,
     maximal_ideals,
     radical,
@@ -64,88 +71,46 @@ class Hom:
         return self.table[x]
 
     def kernel(self) -> frozenset:
-        return frozenset(x for x, v in self.table.items() if v == 0)
+        return frozenset(x for x, v in self.table.items() if not v)
 
     def image(self) -> frozenset:
         return frozenset(self.table.values())
 
 
-def _is_rank_hom(tables: FiniteTables, rank: list[int], m: int) -> bool:
-    """Whether x -> rank[x] / m is a homomorphism into [0,1], checked on
-    numerators: rank[0] = 0, rank[neg x] = m - rank[x] and
-    rank[x oplus y] = min(rank[x] + rank[y], m) for all x, y."""
-    if rank[tables.zero] != 0:
-        return False
-    capped = [min(k, m) for k in range(2 * m + 1)]
-    for x, rx in enumerate(rank):
-        if rank[tables.neg[x]] != m - rx:
-            return False
-        # One comparison per row: capped[rx:][ry] is min(rx + ry, m).
-        row = map(rank.__getitem__, tables.oplus[x])
-        if list(row) != list(map(capped[rx:].__getitem__, rank)):
-            return False
-    return True
-
-
 def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
-    """The unique homomorphism with the given maximal ideal as kernel.
-
-    The quotient classes are totally ordered; ranking them and mapping
-    rank r of m+1 classes to r/m is the one embedding into [0,1].  The
-    construction is verified exactly before returning.
-    """
-    tables = carrier.tables
-    members = {i for i, x in enumerate(tables.elements) if x in ideal}
-    classes: list[list[int]] = []
-    for x in range(len(tables.elements)):
-        for cls in classes:
-            if tables.dist(x, cls[0]) in members:
-                cls.append(x)
-                break
-        else:
-            classes.append([x])
-
-    def class_leq(c1, c2) -> bool:
-        # x/I <= y/I iff (x ominus y) falls in the ideal
-        return tables.ominus(c1[0], c2[0]) in members
-
-    ordered: list[list[int]] = []
-    for cls in classes:
-        at = len(ordered)
-        for i, other in enumerate(ordered):
-            if class_leq(cls, other):
-                if not class_leq(other, cls):
-                    at = i
-                    break
-            elif not class_leq(other, cls):
-                raise AssertionError("quotient by a maximal ideal is not totally ordered")
-        ordered.insert(at, cls)
-
-    m = len(ordered) - 1
-    if m == 0:
+    """The unique homomorphism with the given maximal ideal as kernel: the
+    projection onto the chain factor {0, 1/n, ..., 1} at which all its
+    elements are 0, followed by k -> k/n.  That chain's operations and the
+    kernel are checked before returning.  The table lists the elements by
+    value, in element order within a value."""
+    factors = _ChainFactors(carrier)
+    members = [t for x, t in zip(factors.elements, factors.components) if x in ideal]
+    if len(members) == len(factors.elements):
         raise CarrierError("ideal is not proper; quotient is trivial")
-    rank = [0] * len(tables.elements)
-    for r, cls in enumerate(ordered):
-        for x in cls:
-            rank[x] = r
-    if not _is_rank_hom(tables, rank, m):
-        raise AssertionError("rank map failed the homomorphism check")
-    values = [Q01(r, m) for r in range(m + 1)]
-    table = {tables.elements[x]: values[r] for r, cls in enumerate(ordered) for x in cls}
-    hom = Hom(carrier, table)
+    # top[p] is the largest p-th component of a member, 0 at a zeroed factor.
+    top = list(map(max, (0,) * len(factors.chains), *members))
+    zeroed = [p for p in factors.nontrivial if not top[p]]
+    if len(zeroed) != 1:
+        raise AssertionError("quotient by the ideal is not a chain")
+    (p,) = zeroed
+    chain = factors.chains[p]
+    _check_chain(chain)
+    by_value: list[list] = [[] for _ in range(chain.n + 1)]
+    for x, t in zip(factors.elements, factors.components):
+        by_value[t[p]].append(x)
+    values = [Q01(k, chain.n) for k in range(chain.n + 1)]
+    hom = Hom(carrier, {x: v for v, xs in zip(values, by_value) for x in xs})
     if hom.kernel() != ideal:
-        raise AssertionError("kernel of the rank map differs from the ideal")
+        raise AssertionError("kernel of the projection differs from the ideal")
     return hom
 
 
-def _hom_sort_key(carrier: Carrier, hom: Hom):
-    return tuple(hom.table[x] for x in carrier.tables.elements)
-
-
 def enumerate_homs(carrier: Carrier) -> list[Hom]:
-    """All homomorphisms of a finite carrier into [0,1], one per maximal ideal."""
+    """All homomorphisms of a finite carrier into [0,1], one per maximal
+    ideal, ordered by their values in element order."""
     homs = [holder_hom(carrier, m) for m in maximal_ideals(carrier)]
-    return sorted(homs, key=lambda h: _hom_sort_key(carrier, h))
+    elements = _ChainFactors(carrier).elements
+    return sorted(homs, key=lambda h: [h.table[x] for x in elements])
 
 
 def v_of(carrier: Carrier, subset) -> list[frozenset]:
@@ -165,16 +130,17 @@ class SpectrumResult:
 
 def spectrum(carrier: Carrier) -> SpectrumResult:
     """Maximal ideals, their homomorphisms, and the Stone topology of a
-    finite carrier (closed sets listed extensionally as index sets)."""
+    finite carrier (closed sets listed extensionally as index sets).
+
+    The ideal that is {0} at exactly some nontrivial factors lies in
+    exactly their kernels, so every index set is closed.
+    """
     maxes = maximal_ideals(carrier)
     homs = [holder_hom(carrier, m) for m in maxes]
-
-    def v_indices(subset) -> tuple[int, ...]:
-        subset = frozenset(subset)
-        return tuple(i for i, m in enumerate(maxes) if subset <= m)
-
-    closed = sorted({v_indices(ideal) for ideal in enumerate_ideals(carrier)})
-    basis = sorted({v_indices([a]) for a in carrier.tables.elements})
+    indices = range(len(maxes))
+    closed = sorted(c for r in range(len(maxes) + 1) for c in itertools.combinations(indices, r))
+    elements = _ChainFactors(carrier).elements
+    basis = sorted({tuple(i for i in indices if a in maxes[i]) for a in elements})
     return SpectrumResult(carrier, tuple(maxes), tuple(homs), tuple(closed), tuple(basis))
 
 
@@ -191,16 +157,19 @@ class EtaReport:
 
 
 def eta(carrier: Carrier) -> EtaReport:
-    elems = carrier.tables.elements
+    """The evaluation map a -> (h(a) for every hom h).  Its radical rests
+    on the chain checks :func:`holder_hom` ran while building the homs,
+    one per nontrivial factor; a trivial factor is {0} alone."""
+    elems = _ChainFactors(carrier).elements
     homs = enumerate_homs(carrier)
     values = {a: tuple(h.table[a] for h in homs) for a in elems}
-    injective = len(set(values.values())) == len(elems)
-    rad = radical(carrier)
-    radical_trivial = rad.elements == frozenset({carrier.zero()})
-    kernel = frozenset(a for a, v in values.items() if all(c == 0 for c in v))
-    images = [sorted(h.image()) for h in homs]
-    product = set(itertools.product(*images)) if homs else set()
-    surjective = set(values.values()) == product if homs else len(elems) == 1
+    distinct = set(values.values())
+    radical_trivial = _checked_radical(carrier).elements == frozenset({carrier.zero()})
+    kernel = frozenset(a for a, v in values.items() if not any(v))
+    # Every value lies in the product of the images, so it is all of the
+    # product when the sizes agree.
+    surjective = len(distinct) == math.prod(len(h.image()) for h in homs)
+    injective = len(distinct) == len(elems)
     return EtaReport(carrier, values, injective, radical_trivial, kernel, surjective)
 
 
@@ -235,9 +204,8 @@ def epsilon_finite(factors) -> EpsilonReport:
             raise CarrierError(f"epsilon check expects chain factors, got {f.spec}")
     algebra = ProductAlg(factors)
     maxes = maximal_ideals(algebra)
-    kernels = []
-    for i in range(len(factors)):
-        kernels.append(frozenset(t for t in algebra.tables.elements if t[i] == 0))
+    structure = _ChainFactors(algebra)
+    kernels = [structure.ideal([i]) for i in range(len(factors))]
     distinct = len(set(kernels)) == len(kernels)
     onto = set(kernels) == set(maxes)
     return EpsilonReport(tuple(range(len(factors))), tuple(kernels), distinct and onto)

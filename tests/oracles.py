@@ -15,7 +15,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from mvdelta import terms
-from mvdelta.carriers import Q01_CARRIER, Carrier, CarrierMismatch, FiniteChain
+from mvdelta.carriers import (
+    Q01_CARRIER,
+    Carrier,
+    CarrierMismatch,
+    FiniteChain,
+    InfinitesimalCertificate,
+    Radical,
+)
 from mvdelta.decide import Counterexample
 from mvdelta.goodseq import (
     ChainIsoReport,
@@ -36,7 +43,7 @@ from mvdelta.goodseq import (
 from mvdelta.linarith import CONSTRAINT_CAP, BudgetExceeded
 from mvdelta.plfunc import IsbellHypothesisError
 from mvdelta.rationals import Q01
-from mvdelta.spectrum import Hom, _hom_sort_key
+from mvdelta.spectrum import EtaReport, Hom, SpectrumResult
 from mvdelta.terms import (
     Const,
     Delta,
@@ -125,16 +132,12 @@ def tables_by_operations(carrier: Carrier) -> SimpleNamespace:
     operations: |A|^2 calls each of oplus and leq."""
     elems = carrier.elements()
     index = {x: i for i, x in enumerate(elems)}
-    size = range(len(elems))
-    leq = [[carrier.leq(x, y) for y in elems] for x in elems]
     return SimpleNamespace(
         elements=elems,
-        index=index,
         zero=index[carrier.zero()],
         neg=[index[carrier.neg(x)] for x in elems],
         oplus=[[index[carrier.oplus(x, y)] for y in elems] for x in elems],
-        leq=leq,
-        below=[frozenset(j for j in size if leq[j][i]) for i in size],
+        leq=[[carrier.leq(x, y) for y in elems] for x in elems],
     )
 
 
@@ -154,6 +157,11 @@ def brute_force_ideals(carrier: Carrier) -> list[frozenset]:
                 continue
             found.append(subset)
     return found
+
+
+def _hom_sort_key(carrier: Carrier, hom: Hom):
+    """Homs in the order of their values, element by element."""
+    return tuple(hom.table[x] for x in carrier.elements())
 
 
 def _verify_hom(carrier: Carrier, table: dict) -> bool:
@@ -223,6 +231,192 @@ def brute_force_homs(carrier: Carrier) -> list[Hom]:
         if propagate(base, m):
             search(base, m)
     return sorted(found.values(), key=lambda h: _hom_sort_key(carrier, h))
+
+
+# --- The finite layer on |A|^2 tables ------------------------------------------
+# Ideals, homs, the radical and eta as the library computed them before it
+# went factor by factor: on the carrier's integer tables (themselves checked
+# against the operations in test_carriers.py), every ideal as the down-set
+# of a stable multiple, each hom by ranking the classes of the quotient,
+# and the radical cross-checked by every element's bounded multiples.
+
+
+def is_rank_hom(tables, rank: list[int], m: int) -> bool:
+    """Whether x -> rank[x] / m is a homomorphism into [0,1], checked on
+    numerators: rank[0] = 0, rank[neg x] = m - rank[x] and
+    rank[x oplus y] = min(rank[x] + rank[y], m) for all x, y."""
+    if rank[tables.zero] != 0:
+        return False
+    capped = [min(k, m) for k in range(2 * m + 1)]
+    for x, rx in enumerate(rank):
+        if rank[tables.neg[x]] != m - rx:
+            return False
+        # One comparison per row: capped[rx:][ry] is min(rx + ry, m).
+        row = map(rank.__getitem__, tables.oplus[x])
+        if list(row) != list(map(capped[rx:].__getitem__, rank)):
+            return False
+    return True
+
+
+class FiniteByTables:
+    """The finite layer of one carrier on its |A|^2 tables."""
+
+    def __init__(self, carrier: Carrier):
+        t = self.tables = carrier.tables
+        self.carrier = carrier
+        self.index = {x: i for i, x in enumerate(t.elements)}
+        size = range(len(t.elements))
+        self.below = [frozenset(j for j in size if t.leq[j][i]) for i in size]
+
+    def _position(self, x) -> int:
+        self.carrier.leq(x, x)  # a non-element raises what the carrier raises
+        return self.index[x]
+
+    def _subset(self, positions) -> frozenset:
+        return frozenset(map(self.tables.elements.__getitem__, positions))
+
+    def _ominus(self, i: int, j: int) -> int:
+        t = self.tables
+        return t.neg[t.oplus[t.neg[i]][j]]
+
+    def _is_ideal(self, s: frozenset) -> bool:
+        """Contains 0, is down-closed and is closed under oplus."""
+        oplus, below = self.tables.oplus, self.below
+        return self.tables.zero in s and all(
+            below[i] <= s and s.issuperset(map(oplus[i].__getitem__, s)) for i in s
+        )
+
+    def _principal(self, a: int) -> frozenset:
+        """Down-set of the value at which the sums a, 2a, 3a, ... settle."""
+        s = a
+        while (t := self.tables.oplus[s][a]) != s:
+            s = t
+        return self.below[s]
+
+    def is_ideal(self, subset: frozenset) -> bool:
+        if self.carrier.zero() not in subset:
+            return False
+        return self._is_ideal(frozenset(map(self._position, subset)))
+
+    def principal_ideal(self, a) -> frozenset:
+        return self._subset(self._principal(self._position(a)))
+
+    def ideals(self) -> list[frozenset]:
+        seen = {self._principal(a) for a in range(len(self.tables.elements))}
+        assert all(map(self._is_ideal, seen)), self.carrier.spec
+        return sorted(map(self._subset, seen), key=lambda s: (len(s), sorted(map(repr, s))))
+
+    def maximal_ideals(self) -> list[frozenset]:
+        proper = [i for i in self.ideals() if len(i) < len(self.tables.elements)]
+        return [i for i in proper if not any(i < j for j in proper)]
+
+    def holder_hom(self, ideal: frozenset) -> Hom:
+        """Rank the quotient classes, map rank r of m+1 to r/m, check it."""
+        t = self.tables
+        members = {i for i, x in enumerate(t.elements) if x in ideal}
+        classes: list[list[int]] = []
+        for x in range(len(t.elements)):
+            for cls in classes:
+                if t.oplus[self._ominus(x, cls[0])][self._ominus(cls[0], x)] in members:
+                    cls.append(x)
+                    break
+            else:
+                classes.append([x])
+        ordered: list[list[int]] = []
+        for cls in classes:  # x/I <= y/I iff (x ominus y) falls in the ideal
+            at = len(ordered)
+            for i, other in enumerate(ordered):
+                if self._ominus(cls[0], other[0]) in members:
+                    if self._ominus(other[0], cls[0]) not in members:
+                        at = i
+                        break
+                else:
+                    assert self._ominus(other[0], cls[0]) in members, "quotient not a chain"
+            ordered.insert(at, cls)
+        m = len(ordered) - 1
+        rank = [0] * len(t.elements)
+        for r, cls in enumerate(ordered):
+            for x in cls:
+                rank[x] = r
+        assert m > 0 and is_rank_hom(t, rank, m), self.carrier.spec
+        values = [Q01(r, m) for r in range(m + 1)]
+        table = {t.elements[x]: values[r] for r, cls in enumerate(ordered) for x in cls}
+        hom = Hom(self.carrier, table)
+        assert hom.kernel() == ideal, self.carrier.spec
+        return hom
+
+    def homs(self) -> list[Hom]:
+        homs = [self.holder_hom(m) for m in self.maximal_ideals()]
+        return sorted(homs, key=lambda h: _hom_sort_key(self.carrier, h))
+
+    def spectrum(self) -> SpectrumResult:
+        maxes = self.maximal_ideals()
+
+        def v_indices(subset) -> tuple[int, ...]:
+            return tuple(i for i, m in enumerate(maxes) if frozenset(subset) <= m)
+
+        closed = sorted({v_indices(ideal) for ideal in self.ideals()})
+        basis = sorted({v_indices([a]) for a in self.tables.elements})
+        homs = tuple(self.holder_hom(m) for m in maxes)
+        return SpectrumResult(self.carrier, tuple(maxes), homs, tuple(closed), tuple(basis))
+
+    def is_infinitesimal(self, x, bound: int | None = None) -> InfinitesimalCertificate:
+        t = self.tables
+        i = self._position(x)
+        if i == t.zero:
+            return InfinitesimalCertificate(False, "zero is not infinitesimal")
+        limit = bound if bound is not None else len(t.elements)
+        negx, s = t.neg[i], i
+        for n in range(1, limit + 1):
+            if not t.leq[s][negx]:
+                return InfinitesimalCertificate(False, f"{n}-fold sum exceeds neg(x)", failing_n=n)
+            s = t.oplus[s][i]
+        return InfinitesimalCertificate(
+            True, f"multiples stabilise below neg(x) within the carrier bound {limit}"
+        )
+
+    def radical(self) -> Radical:
+        elems = self.tables.elements
+        inter = frozenset(elems).intersection(*self.maximal_ideals())
+        by_multiples = frozenset(
+            x for x in elems if self.is_infinitesimal(x, bound=len(elems)).verdict
+        ) | {self.carrier.zero()}
+        assert inter == by_multiples, self.carrier.spec
+        description = "{" + ", ".join(sorted(self.carrier.format_element(x) for x in inter)) + "}"
+        return Radical(self.carrier.spec, "finite", inter, description)
+
+    def eta(self) -> EtaReport:
+        elems = self.tables.elements
+        homs = self.homs()
+        values = {a: tuple(h.table[a] for h in homs) for a in elems}
+        kernel = frozenset(a for a, v in values.items() if all(c == 0 for c in v))
+        product = set(itertools.product(*(sorted(h.image()) for h in homs)))
+        surjective = set(values.values()) == product if homs else len(elems) == 1
+        return EtaReport(
+            self.carrier,
+            values,
+            len(set(values.values())) == len(elems),
+            self.radical().elements == {self.carrier.zero()},
+            kernel,
+            surjective,
+        )
+
+
+# A chain with one oplus entry replaced: every check the library runs on a
+# carrier's own operations must notice it.
+
+
+@dataclass(frozen=True)
+class WrongSum(FiniteChain):
+    """A chain with one oplus entry replaced."""
+
+    x: int = 0
+    y: int = 0
+    wrong: int = 0
+
+    def oplus(self, x, y):
+        right = super().oplus(x, y)
+        return self.wrong if (x, y) == (self.x, self.y) else right
 
 
 # The good-sequence round trips as they ran on the carrier's own

@@ -525,3 +525,28 @@ def test_literals_take_ascii_digits_only(capsys, argv):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# An invocation for each integer option, the option's value to come last.
+INT_OPTIONS = {
+    "check_trials": ("check", "x = x", "--trials"),
+    "check_seed": ("check", "x = x", "--seed"),
+    "check_budget": ("check", "x = x", "--budget"),
+    "check_depth": ("check", "x = x", "--depth"),
+    "axioms_trials": ("axioms", "--carrier", "chain:2", "--trials"),
+    "axioms_seed": ("axioms", "--carrier", "chain:2", "--seed"),
+    "gammaxi_chain": ("gammaxi", "--bound", "1", "--chain"),
+    "gammaxi_bound": ("gammaxi", "--chain", "3", "--bound"),
+    "isbell_depth": ("isbell", "--target", "t.json", "--out", "o.json", "--depth"),
+}
+
+
+@pytest.mark.parametrize("prefix", INT_OPTIONS.values(), ids=INT_OPTIONS.keys())
+@pytest.mark.parametrize(
+    "text", ["٣", " 1", "1 ", "1_0", "+1"],
+    ids=["arabic_digit", "leading_space", "trailing_space", "underscore", "plus_sign"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, prefix, text):
+    code, out = invoke(*prefix, text)
+    assert code == 2 and out == ""
+    assert f"not an integer in ASCII digits: {text!r}" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -31,6 +30,7 @@ from mvdelta.goodseq import (
     xi_zero,
 )
 from oracles import (
+    WrongSum,
     enumerate_good_seqs_by_operations,
     gamma_of_xi_by_operations,
     xi_chain_iso_by_operations,
@@ -234,19 +234,6 @@ def test_enumerate_good_seqs_matches_operations_oracle(carrier):
         assert enumerate_good_seqs(carrier, max_len) == enumerate_good_seqs_by_operations(
             carrier, max_len
         )
-
-
-@dataclass(frozen=True)
-class WrongSum(FiniteChain):
-    """A chain with one oplus entry replaced."""
-
-    x: int = 0
-    y: int = 0
-    wrong: int = 0
-
-    def oplus(self, x, y):
-        right = super().oplus(x, y)
-        return self.wrong if (x, y) == (self.x, self.y) else right
 
 
 def _outcome(round_trip, carrier):

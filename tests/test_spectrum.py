@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,16 @@ from mvdelta.carriers import (
     ProductAlg,
     Q01_CARRIER,
     carrier_from_spec,
+    enumerate_ideals,
+    is_ideal,
+    is_infinitesimal,
     maximal_ideals,
+    principal_ideal,
     radical,
 )
 from mvdelta.plfunc import PL_CARRIER, pl_precompose, random_fnseq, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.spectrum import (
-    _is_rank_hom,
     chang_eta,
     delta_preserved,
     enumerate_homs,
@@ -32,7 +37,7 @@ from mvdelta.spectrum import (
     spectrum,
     v_of,
 )
-from oracles import brute_force_homs
+from oracles import FiniteByTables, WrongSum, brute_force_homs, is_rank_hom
 
 L23 = ProductAlg((FiniteChain(2), FiniteChain(3)))
 
@@ -98,18 +103,143 @@ def test_holder_hom_rejects_improper_ideal():
 
 
 def test_rank_check_rejects_swapped_ranks():
+    # The oracle's rank check, which FiniteByTables.holder_hom relies on.
     for K in (FiniteChain(4), L23):
         tables = K.tables
         for h in enumerate_homs(K):
             m = len(h.image()) - 1
             rank = [int(h.table[x] * m) for x in tables.elements]
-            assert _is_rank_hom(tables, rank, m), K.spec
+            assert is_rank_hom(tables, rank, m), K.spec
             for i in range(len(rank)):
                 for j in range(i):
                     if rank[i] != rank[j]:
                         swapped = list(rank)
                         swapped[i], swapped[j] = rank[j], rank[i]
-                        assert not _is_rank_hom(tables, swapped, m), (K.spec, i, j)
+                        assert not is_rank_hom(tables, swapped, m), (K.spec, i, j)
+
+
+@pytest.mark.parametrize(
+    "routine", [spectrum, eta, carriers.radical], ids=["spectrum", "eta", "radical"]
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_check_rejects_every_wrong_oplus_entry(routine, n):
+    # Every single-entry corruption of the chain's oplus, alone and as a
+    # factor: the per-chain check runs on the chain's own oplus.
+    for x in range(n + 1):
+        for y in range(n + 1):
+            for wrong in set(range(n + 1)) - {min(x + y, n)}:
+                chain = WrongSum(n, x, y, wrong)
+                for carrier in (chain, ProductAlg((FiniteChain(2), chain))):
+                    with pytest.raises(AssertionError):
+                        routine(carrier)
+
+
+# Every finite carrier the tests build, up to the 1,024 elements the table
+# budget admits, with nested products and trivial factors.
+ORACLE_SPECS = [f"chain:{n}" for n in range(9)] + [
+    "prod(chain:1,chain:1)",
+    "prod(chain:1,chain:2)",
+    "prod(chain:2,chain:1)",
+    "prod(chain:1,chain:3)",
+    "prod(chain:3,chain:1)",
+    "prod(chain:2,chain:2)",
+    "prod(chain:2,chain:3)",
+    "prod(chain:1,chain:1,chain:1)",
+    "prod(chain:1,chain:1,chain:2)",
+    "prod(chain:2,chain:3,chain:4)",
+    "prod(chain:4,chain:4,chain:4)",
+    "prod(chain:0,chain:2)",
+    "prod(chain:4)",
+    "prod(chain:1,prod(chain:2,chain:2))",
+    "prod(chain:1,prod(chain:0,prod(chain:2)),chain:1)",
+    "prod(chain:2,chain:2,chain:2,chain:2,chain:2)",
+    "prod(chain:1,chain:511)",
+    "chain:1023",
+]
+
+
+def _hom_items(homs) -> list[list]:
+    return [list(h.table.items()) for h in homs]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_factor_wise_layer_matches_table_oracle(spec):
+    oracle = FiniteByTables(carrier_from_spec(spec))
+    got, want = spectrum(carrier_from_spec(spec)), oracle.spectrum()
+    assert got.ideals == want.ideals
+    assert _hom_items(got.homs) == _hom_items(want.homs)
+    assert (got.closed_sets, got.basis) == (want.closed_sets, want.basis)
+    assert radical(carrier_from_spec(spec)) == oracle.radical()
+    got, want = eta(carrier_from_spec(spec)), oracle.eta()
+    assert got == want and list(got.values.items()) == list(want.values.items())
+
+    K = carrier_from_spec(spec)
+    ideals = enumerate_ideals(K)
+    assert ideals == oracle.ideals() and maximal_ideals(K) == oracle.maximal_ideals()
+    elems = K.elements()
+    # Every element of the smaller carriers; a stride through the larger.
+    sample = elems if len(elems) <= 250 else elems[::7] + elems[-1:]
+    for a in sample:
+        assert principal_ideal(K, a) == oracle.principal_ideal(a), a
+        for bound in (None, 0, 1, 2, 3):
+            assert is_infinitesimal(K, a, bound) == oracle.is_infinitesimal(a, bound), (a, bound)
+    if len(elems) <= 8:
+        sizes = range(len(elems) + 1)
+        subsets = [frozenset(c) for r in sizes for c in itertools.combinations(elems, r)]
+    else:  # each ideal, and each with one of a few elements taken out or put in
+        few = elems[:3] + elems[-3:]
+        subsets = [*ideals, *(i - {a} for i in ideals for a in few)]
+        subsets += [i | {a} for i in ideals for a in few]
+    for subset in subsets:
+        assert is_ideal(K, subset) == oracle.is_ideal(subset), subset
+
+
+@dataclass(frozen=True)
+class LaxOrder(FiniteChain):
+    """A chain whose order holds between any two elements."""
+
+    def leq(self, x, y):
+        self._check(x), self._check(y)
+        return True
+
+
+@pytest.mark.parametrize(
+    "routine", [spectrum, eta, carriers.radical], ids=["spectrum", "eta", "radical"]
+)
+def test_radical_cross_check_reads_the_chains_own_order(routine):
+    # The sums are right, but under this order every multiple stays below
+    # neg(x): bounded multiples would make every element infinitesimal.
+    for carrier in (LaxOrder(2), ProductAlg((FiniteChain(2), LaxOrder(3)))):
+        with pytest.raises(AssertionError, match="radical cross-check failed"):
+            routine(carrier)
+
+
+def _carriers_within(carrier):
+    yield carrier
+    for factor in getattr(carrier, "factors", ()):
+        yield from _carriers_within(factor)
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [
+        spectrum,
+        carriers.radical,
+        eta,
+        maximal_ideals,
+        enumerate_ideals,
+        lambda K: epsilon_finite(K.factors),
+        lambda K: [principal_ideal(K, a) for a in K.elements()],
+        lambda K: [is_infinitesimal(K, a) for a in K.elements()],
+        lambda K: is_ideal(K, frozenset(K.elements())),
+    ],
+    ids=["spectrum", "radical", "eta", "maximal_ideals", "enumerate_ideals", "epsilon_finite",
+         "principal_ideal", "is_infinitesimal", "is_ideal"],
+)
+def test_finite_routines_leave_the_tables_unbuilt(routine):
+    carrier = ProductAlg((FiniteChain(2), FiniteChain(0), FiniteChain(3)))
+    routine(carrier)
+    assert all("tables" not in vars(c) for c in _carriers_within(carrier))
 
 
 def _count_oplus(monkeypatch, cls) -> list[int]:
@@ -131,7 +261,8 @@ def test_finite_routines_tabulate_oplus_once(monkeypatch, routine):
     product_calls = _count_oplus(monkeypatch, ProductAlg)
     chain_calls = _count_oplus(monkeypatch, FiniteChain)
     routine(carrier_from_spec("prod(chain:2,chain:3)"))
-    # The product's table is composed from its factors' tables.
+    # The product's oplus is never called; each chain factor's is read
+    # once, by the check of that chain.
     assert product_calls[0] == 0
     assert chain_calls[0] <= 3**2 + 4**2 == 25
 
