@@ -15,12 +15,13 @@ chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
 algebra, realised as the unit interval of the lexicographic group Z x Z
 with unit (1, 0).  Elements (0, k) with k >= 1 are the infinitesimals.
 
-Ideals, the radical and the infinitesimal test run factor by factor,
-a finite carrier being a product of chains: each chain {0, 1/n, ..., 1}
-is checked on its own operations, O(n^2), never O(|A|^2).  Good
-sequences run on integer tables (:class:`FiniteTables`, built once per
-instance: a chain's read off its own operations, a product's composed
-from its factors' tables).  A finite carrier past ``TABLE_ENTRY_BUDGET``
+Ideals, the radical and the infinitesimal test run factor by factor on
+``carrier.chain_factors``, built once per instance: each chain
+{0, 1/n, ..., 1} is checked on its own operations, O(n^2), never
+O(|A|^2), at most once per instance.  Good sequences run on integer
+tables (:class:`FiniteTables`, built once per instance: a chain's read
+off its own operations, a product's composed from its factors'
+tables).  A finite carrier past ``TABLE_ENTRY_BUDGET``
 table entries is refused before any work (:class:`TableBudgetExceeded`).
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -63,6 +63,7 @@ __all__ = [
     "principal_ideal",
     "enumerate_ideals",
     "maximal_ideals",
+    "projection",
     "Radical",
     "radical",
     "InfinitesimalCertificate",
@@ -221,6 +222,11 @@ class Carrier(ABC):
         instance, after the size has passed the table budget."""
         self.tabulable_size()
         return self._tabulate()
+
+    @cached_property
+    def chain_factors(self) -> _ChainFactors:
+        """This finite carrier as a product of chains, kept by this instance."""
+        return _ChainFactors(self)
 
     def _tabulate(self) -> FiniteTables:
         """Read the tables off this carrier's own operations (|A|^2 calls
@@ -638,50 +644,75 @@ class FiniteTables:
         self.leq = leq
 
 
-def _chains_and_elements(carrier: Carrier) -> tuple[list[FiniteChain], list]:
-    """The chain factors of a finite carrier, left to right through nested
-    products, and its elements in ``elements()`` order, from one walk
-    over its factors."""
+def _chains(carrier: Carrier) -> list[FiniteChain]:
+    """The chain factors of a finite carrier, left to right through nested products."""
     if isinstance(carrier, FiniteChain):
-        return [carrier], carrier.elements()
+        return [carrier]
     if not isinstance(carrier, ProductAlg):
         raise CarrierError(f"{carrier.spec} is not a product of finite chains")
-    parts = [_chains_and_elements(f) for f in carrier.factors]
-    chains = [c for factor_chains, _ in parts for c in factor_chains]
-    return chains, list(itertools.product(*(elements for _, elements in parts)))
+    return [c for f in carrier.factors for c in _chains(f)]
 
 
 class _ChainFactors:
-    """A finite carrier, once its size has passed the table budget, as the
-    product of its chain factors: ``components[i]`` lists the entries of
-    ``elements[i]`` in ``chains`` (both lexicographic, last factor fastest,
-    so they line up through any nesting of products)."""
+    """A finite carrier, once its size has passed the table budget, as a
+    product of chains of ``sizes`` n + 1, and its one listing ``elements``
+    (last factor fastest, so ``elements[i]`` has numerator
+    ``i // strides[p] % sizes[p]`` in chain p).  It refers to no carrier,
+    so the carrier that keeps it is freed without the cycle collector."""
 
     def __init__(self, carrier: Carrier):
         carrier.tabulable_size()
-        self.carrier = carrier
-        self.chains, self.elements = _chains_and_elements(carrier)
-        self.components = list(itertools.product(*(c.elements() for c in self.chains)))
-        self.nontrivial = [p for p, c in enumerate(self.chains) if c.n]
+        self.sizes = [c.n + 1 for c in _chains(carrier)]
+        self.elements = carrier.elements()
+        self.strides = [math.prod(self.sizes[p + 1 :]) for p in range(len(self.sizes))]
+        self.nontrivial = [p for p, m in enumerate(self.sizes) if m > 1]
+        self.checked: set[int] = set()
 
-    def of(self, *xs) -> list[tuple]:
-        """The components of each x.  The carrier's own order check runs
-        first, so a non-element raises what the carrier raises
-        (CarrierMismatch for chains and products)."""
-        for x in xs:
-            self.carrier.leq(x, x)
-        components = dict(zip(self.elements, self.components))
-        return [components[x] for x in xs]
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
 
     def ideal(self, zeroed) -> frozenset:
         """The ideal that is {0} at the factors in zeroed and whole elsewhere
         (every ideal of a product of chains is one of these)."""
-        if not zeroed:
-            return frozenset(self.elements)
-        at = operator.itemgetter(*zeroed)
-        zero = at(self.components[0])  # the first element is the zero
-        keep = map(zero.__eq__, map(at, self.components))
-        return frozenset(itertools.compress(self.elements, keep))
+        indices = [0]
+        for p, m in enumerate(self.sizes):
+            ks = range(1 if p in zeroed else m)
+            indices = [i * m + k for i in indices for k in ks]
+        return frozenset(map(self.elements.__getitem__, indices))
+
+
+def _checked_chain(carrier: Carrier, p: int) -> FiniteChain:
+    """Chain factor p of the carrier, once :func:`_check_chain` has passed
+    on it, which it does at most once per carrier instance."""
+    chain = _chains(carrier)[p]
+    checked = carrier.chain_factors.checked
+    if p not in checked:
+        _check_chain(chain)
+        checked.add(p)
+    return chain
+
+
+def projection(carrier: Carrier, ideal: frozenset) -> dict:
+    """The value table of the projection of a finite carrier onto the
+    nontrivial chain factor {0, 1/n, ..., 1} at which every member of the
+    ideal is 0, followed by k -> k/n, once that chain is checked: by value,
+    in element order within a value."""
+    factors = carrier.chain_factors
+    members = [i for i, x in enumerate(factors.elements) if x in ideal]
+    if len(members) == len(factors.elements):
+        raise CarrierError("ideal is not proper; quotient is trivial")
+    strides, sizes = factors.strides, factors.sizes
+    zeroed = [p for p in factors.nontrivial if not any(i // strides[p] % sizes[p] for i in members)]
+    if len(zeroed) != 1:
+        raise AssertionError("quotient by the ideal is not a chain")
+    (p,) = zeroed
+    n, stride = _checked_chain(carrier, p).n, strides[p]
+    by_value: list[list] = [[] for _ in range(n + 1)]
+    for i, x in enumerate(factors.elements):
+        by_value[i // stride % (n + 1)].append(x)
+    values = [Q01(k, n) for k in range(n + 1)]
+    return {x: v for v, xs in zip(values, by_value) for x in xs}
 
 
 def _ideal_order(ideal: frozenset):
@@ -715,43 +746,48 @@ def _check_chain(chain: FiniteChain) -> None:
         raise AssertionError(f"radical cross-check failed on {chain.spec}: an infinitesimal found")
 
 
+def _components(carrier: Carrier, *xs) -> list[list[int]]:
+    """The components of each x in the carrier's chain factors.  The
+    carrier's own order check runs first, so a non-element raises what the
+    carrier raises (CarrierMismatch for chains and products)."""
+    for x in xs:
+        carrier.leq(x, x)
+    factors = carrier.chain_factors
+    radix = list(zip(factors.strides, factors.sizes))
+    return [[factors.index[x] // s % m for s, m in radix] for x in xs]
+
+
 def is_ideal(carrier: Carrier, subset: frozenset) -> bool:
     """Whether subset is an ideal: a product of {0} or the whole chain at
     each chain factor, the only ideals of a finite product of chains."""
-    factors = _ChainFactors(carrier)
     if carrier.zero() not in subset:
         return False
-    spans = [set(column) for column in zip(*factors.of(*subset))]
+    spans = [set(column) for column in zip(*_components(carrier, *subset))]
     return len(subset) == math.prod(map(len, spans)) and all(
-        span == {0} or len(span) == c.n + 1 for span, c in zip(spans, factors.chains)
+        span == {0} or len(span) == m for span, m in zip(spans, carrier.chain_factors.sizes)
     )
 
 
 def principal_ideal(carrier: Carrier, a) -> frozenset:
     """Smallest ideal containing a: {0} at the factors where a is 0."""
-    factors = _ChainFactors(carrier)
-    (components,) = factors.of(a)
-    return factors.ideal([p for p, k in enumerate(components) if not k])
+    (components,) = _components(carrier, a)
+    return carrier.chain_factors.ideal([p for p, k in enumerate(components) if not k])
 
 
 def enumerate_ideals(carrier: Carrier) -> list[frozenset]:
     """All ideals of a finite carrier: every product of {0} or the whole
     chain at each chain factor, by size, then by the sorted reprs of
     their elements."""
-    factors = _ChainFactors(carrier)
-    element = dict(zip(factors.components, factors.elements))
-    sides = [[(0,), c.elements()] if c.n else [(0,)] for c in factors.chains]
-    return sorted(
-        (frozenset(map(element.__getitem__, itertools.product(*choice)))
-         for choice in itertools.product(*sides)),
-        key=_ideal_order,
-    )
+    factors = carrier.chain_factors
+    nontrivial = factors.nontrivial
+    zeroed = (z for r in range(len(nontrivial) + 1) for z in itertools.combinations(nontrivial, r))
+    return sorted(map(factors.ideal, zeroed), key=_ideal_order)
 
 
 def maximal_ideals(carrier: Carrier) -> list[frozenset]:
     """The kernels of the projections onto the nontrivial chain factors,
     in the order of :func:`enumerate_ideals`."""
-    factors = _ChainFactors(carrier)
+    factors = carrier.chain_factors
     return sorted((factors.ideal([p]) for p in factors.nontrivial), key=_ideal_order)
 
 
@@ -777,11 +813,11 @@ class Radical:
 def radical(carrier: Carrier) -> Radical:
     """Radical ideal: intersection of maximal ideals.
 
-    A finite carrier has each chain factor checked (:func:`_check_chain`,
-    which finds its radical {0} by bounded multiples ``n*x <= neg(x)``);
-    the intersection of the maximal ideals is cross-checked against the
-    product of those radicals.  Chang's algebra and the piecewise-linear
-    carrier use closed forms.
+    A finite carrier is a product of chains, whose maximal ideals, the
+    projection kernels, meet in {0}; that is returned once every chain
+    factor has passed :func:`_check_chain`, which also finds the chain's
+    radical {0} by bounded multiples ``n*x <= neg(x)``.  Chang's algebra
+    and the piecewise-linear carrier use closed forms.
     """
     if isinstance(carrier, ChangAlgebra):
         return Radical("chang", "closed-form", None, "{(0,k) : k >= 0}")
@@ -789,24 +825,11 @@ def radical(carrier: Carrier) -> Radical:
         return Radical("pl", "closed-form", None, "{0} (semisimple)")
     if not carrier.is_finite():
         raise CarrierError(f"no radical computation for carrier {carrier.spec}")
-    for chain in _ChainFactors(carrier).chains:
-        _check_chain(chain)
-    return _checked_radical(carrier)
-
-
-def _checked_radical(carrier: Carrier) -> Radical:
-    """The radical of a finite carrier whose chain factors have passed
-    :func:`_check_chain`: the maximal ideals meet in the zero alone."""
-    maxes = maximal_ideals(carrier)
-    # With no maximal ideal the algebra is trivial, {0} alone.
-    inter = frozenset.intersection(*maxes) if maxes else frozenset({carrier.zero()})
-    if inter != {carrier.zero()}:
-        raise AssertionError(
-            f"radical cross-check failed on {carrier.spec}: "
-            f"ideal intersection {inter} vs bounded multiples {{{carrier.zero()}}}"
-        )
-    description = "{" + ", ".join(sorted(carrier.format_element(x) for x in inter)) + "}"
-    return Radical(carrier.spec, "finite", inter, description)
+    for p in range(len(carrier.chain_factors.sizes)):
+        _checked_chain(carrier, p)
+    zero = carrier.zero()
+    description = "{" + carrier.format_element(zero) + "}"
+    return Radical(carrier.spec, "finite", frozenset({zero}), description)
 
 
 @dataclass(frozen=True)
@@ -835,12 +858,11 @@ def is_infinitesimal(carrier: Carrier, x, bound: int | None = None) -> Infinites
         return InfinitesimalCertificate(False, "x exceeds neg(x) already at n = 1", failing_n=1)
     if not carrier.is_finite():
         raise CarrierError(f"no exact infinitesimal test for carrier {carrier.spec}")
-    factors = _ChainFactors(carrier)
-    (components,) = factors.of(x)
-    if not any(components):
+    (ks,) = _components(carrier, x)
+    if not any(ks):
         return InfinitesimalCertificate(False, "zero is not infinitesimal")
-    limit = bound if bound is not None else len(factors.elements)
-    firsts = [_first_excess(c, c.oplus, k, limit) for c, k in zip(factors.chains, components) if k]
+    limit = bound if bound is not None else len(carrier.chain_factors.elements)
+    firsts = [_first_excess(c, c.oplus, k, limit) for c, k in zip(_chains(carrier), ks) if k]
     n = min((n for n in firsts if n is not None), default=None)
     if n is not None:
         return InfinitesimalCertificate(False, f"{n}-fold sum exceeds neg(x)", failing_n=n)

@@ -26,16 +26,15 @@ and ``halfn`` are evaluated without unrolling their counts, so
 ``nfold(100000000, x)`` answers at once.  All rationals print as
 ``p/q``; identical invocations produce identical output.
 
-Importing this module loads only what every subcommand runs (``terms``,
-``carriers``, ``rationals``); each handler imports the rest itself, so a
-process compiles only the modules its subcommand uses.  ``radical``,
+Importing this module loads only ``terms``, ``carriers`` and
+``rationals`` (``argparse`` at the first parse); each handler imports the
+rest itself, so a process compiles only the modules its subcommand uses.  ``radical``,
 ``run`` and ``_HANDLERS`` stay module-level: ``bench/tracing.py``
 patches them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
@@ -68,6 +67,8 @@ def _int_at_least(low: int | None = None):
     optional minus, and >= low when low is given (bad values exit 2)."""
 
     def parse(text: str) -> int:
+        import argparse
+
         if not re.fullmatch(r"-?[0-9]+", text):
             raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
         value = int(text)
@@ -229,8 +230,8 @@ def _cmd_spectrum(args, out) -> int:
     if not carrier.is_finite():
         raise CarrierError(f"spectrum needs a finite carrier or chang, not {carrier.spec}")
     result = spectrum.spectrum(carrier)
-    # Each element's text, in element order.
-    names = {x: carrier.format_element(x) for x in carrier.elements()}
+    # Each element's text, from the one listing the spectrum was computed on.
+    names = {x: carrier.format_element(x) for x in carrier.chain_factors.elements}
     if args.json:
         print(json.dumps(_spectrum_as_dict(result, names), indent=2, sort_keys=True), file=out)
         return EXIT_OK
@@ -311,8 +312,10 @@ def _cmd_radical(args, out) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The one parser, built on first use: parsing leaves it unchanged."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mvdelta",
         description="Exact MV/delta-algebra toolkit: decision engine, carriers, spectra.",

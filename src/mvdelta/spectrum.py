@@ -1,20 +1,20 @@
 """Maximal spectra at desk scale: homomorphisms into [0,1], the Stone
 topology of a finite algebra, and the evaluation/point-kernel maps.
 
-A finite carrier is a product of finite chains, and it is computed
-factor by factor, with no table of the whole product.  Its maximal
-ideals are the kernels of the projections onto the nontrivial chain
-factors; the homomorphism attached to one is that projection followed
-by k -> k/n, the one embedding of the chain {0, 1/n, ..., 1} into
-[0,1], and is checked on that chain's own operations before it is
-returned.  Every subset of the maximal ideals is closed, so the Stone
-topology is discrete, and the radical is {0}.  Chang's algebra is
-handled by its closed form (one maximal ideal, the infinitesimals),
-and point-evaluation/precomposition homomorphisms of the function
-carrier support the delta-preservation checks.
+A finite carrier, a product of finite chains, is computed factor by
+factor, with no table of the whole product.  Its maximal ideals are
+the kernels of the projections onto the nontrivial chain factors; the
+homomorphism attached to one is that projection followed by k -> k/n,
+the one embedding of the chain {0, 1/n, ..., 1} into [0,1], checked on
+that chain's own operations.  Every subset of the maximal ideals is
+closed, so the Stone topology is discrete, and the radical is {0}.
+Chang's algebra is handled by its closed form (one maximal ideal, the
+infinitesimals), and point-evaluation/precomposition homomorphisms of
+the function carrier support the delta-preservation checks.
 
-``bench/tracing.py`` patches ``maximal_ideals``, ``enumerate_ideals``,
-``radical`` and ``holder_hom`` here, so all four stay module-level names.
+``bench/tracing.py`` patches ``maximal_ideals``, ``enumerate_ideals``
+(imported for that alone), ``radical`` and ``holder_hom`` here, so all
+four stay module-level names.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .carriers import (
     ChangElem,
     FiniteChain,
     ProductAlg,
-    _ChainFactors,
-    _check_chain,
-    _checked_radical,
     enumerate_ideals,
     maximal_ideals,
+    projection,
     radical,
 )
 from .rationals import Q01
@@ -80,26 +78,9 @@ class Hom:
 def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
     """The unique homomorphism with the given maximal ideal as kernel: the
     projection onto the chain factor {0, 1/n, ..., 1} at which all its
-    elements are 0, followed by k -> k/n.  That chain's operations and the
-    kernel are checked before returning.  The table lists the elements by
-    value, in element order within a value."""
-    factors = _ChainFactors(carrier)
-    members = [t for x, t in zip(factors.elements, factors.components) if x in ideal]
-    if len(members) == len(factors.elements):
-        raise CarrierError("ideal is not proper; quotient is trivial")
-    # top[p] is the largest p-th component of a member, 0 at a zeroed factor.
-    top = list(map(max, (0,) * len(factors.chains), *members))
-    zeroed = [p for p in factors.nontrivial if not top[p]]
-    if len(zeroed) != 1:
-        raise AssertionError("quotient by the ideal is not a chain")
-    (p,) = zeroed
-    chain = factors.chains[p]
-    _check_chain(chain)
-    by_value: list[list] = [[] for _ in range(chain.n + 1)]
-    for x, t in zip(factors.elements, factors.components):
-        by_value[t[p]].append(x)
-    values = [Q01(k, chain.n) for k in range(chain.n + 1)]
-    hom = Hom(carrier, {x: v for v, xs in zip(values, by_value) for x in xs})
+    elements are 0, followed by k -> k/n (:func:`carriers.projection`, which
+    checks that chain), its kernel checked against the ideal."""
+    hom = Hom(carrier, projection(carrier, ideal))
     if hom.kernel() != ideal:
         raise AssertionError("kernel of the projection differs from the ideal")
     return hom
@@ -109,7 +90,7 @@ def enumerate_homs(carrier: Carrier) -> list[Hom]:
     """All homomorphisms of a finite carrier into [0,1], one per maximal
     ideal, ordered by their values in element order."""
     homs = [holder_hom(carrier, m) for m in maximal_ideals(carrier)]
-    elements = _ChainFactors(carrier).elements
+    elements = carrier.chain_factors.elements
     return sorted(homs, key=lambda h: [h.table[x] for x in elements])
 
 
@@ -139,7 +120,7 @@ def spectrum(carrier: Carrier) -> SpectrumResult:
     homs = [holder_hom(carrier, m) for m in maxes]
     indices = range(len(maxes))
     closed = sorted(c for r in range(len(maxes) + 1) for c in itertools.combinations(indices, r))
-    elements = _ChainFactors(carrier).elements
+    elements = carrier.chain_factors.elements
     basis = sorted({tuple(i for i in indices if a in maxes[i]) for a in elements})
     return SpectrumResult(carrier, tuple(maxes), tuple(homs), tuple(closed), tuple(basis))
 
@@ -157,14 +138,14 @@ class EtaReport:
 
 
 def eta(carrier: Carrier) -> EtaReport:
-    """The evaluation map a -> (h(a) for every hom h).  Its radical rests
-    on the chain checks :func:`holder_hom` ran while building the homs,
-    one per nontrivial factor; a trivial factor is {0} alone."""
-    elems = _ChainFactors(carrier).elements
+    """The evaluation map a -> (h(a) for every hom h).  Its radical reuses
+    the chain checks :func:`holder_hom` ran while building the homs, so
+    each chain factor is checked once."""
+    elems = carrier.chain_factors.elements
     homs = enumerate_homs(carrier)
     values = {a: tuple(h.table[a] for h in homs) for a in elems}
     distinct = set(values.values())
-    radical_trivial = _checked_radical(carrier).elements == frozenset({carrier.zero()})
+    radical_trivial = radical(carrier).elements == frozenset({carrier.zero()})
     kernel = frozenset(a for a, v in values.items() if not any(v))
     # Every value lies in the product of the images, so it is all of the
     # product when the sizes agree.
@@ -204,8 +185,7 @@ def epsilon_finite(factors) -> EpsilonReport:
             raise CarrierError(f"epsilon check expects chain factors, got {f.spec}")
     algebra = ProductAlg(factors)
     maxes = maximal_ideals(algebra)
-    structure = _ChainFactors(algebra)
-    kernels = [structure.ideal([i]) for i in range(len(factors))]
+    kernels = [algebra.chain_factors.ideal([i]) for i in range(len(factors))]
     distinct = len(set(kernels)) == len(kernels)
     onto = set(kernels) == set(maxes)
     return EpsilonReport(tuple(range(len(factors))), tuple(kernels), distinct and onto)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -265,6 +267,46 @@ def test_finite_routines_tabulate_oplus_once(monkeypatch, routine):
     # once, by the check of that chain.
     assert product_calls[0] == 0
     assert chain_calls[0] <= 3**2 + 4**2 == 25
+
+
+def test_one_carrier_is_listed_and_checked_once_across_routines(monkeypatch):
+    chain_calls = _count_oplus(monkeypatch, FiniteChain)
+    listed, calls = ProductAlg.elements, []
+
+    def counted(self):
+        calls.append(self.spec)
+        return listed(self)
+
+    monkeypatch.setattr(ProductAlg, "elements", counted)
+    carrier = carrier_from_spec("prod(chain:2,chain:3)")
+    for routine in (spectrum, eta, carriers.radical, maximal_ideals, enumerate_ideals):
+        routine(carrier)
+    principal_ideal(carrier, (1, 2))
+    is_infinitesimal(carrier, (1, 2))
+    assert calls == ["prod(chain:2,chain:3)"]
+    # The checks of chain:2 and chain:3, once each; is_infinitesimal adds
+    # its own multiples: 1/2 + 1/2 in chain:2, none in chain:3, where 2/3
+    # already exceeds its negation.
+    assert chain_calls[0] == 3**2 + 4**2 + 1
+
+
+@pytest.mark.parametrize(
+    "spec", ["chain:3", "prod(chain:2,chain:3)", "prod(chain:1,prod(chain:2))"]
+)
+def test_a_carrier_is_freed_without_the_cycle_collector(spec):
+    # The chain factors a carrier keeps refer to no carrier, so dropping
+    # the last reference frees it at once, not at some full collection.
+    carrier = carrier_from_spec(spec)
+    for routine in (spectrum, eta, carriers.radical):
+        routine(carrier)
+    principal_ideal(carrier, carrier.zero())
+    ref = weakref.ref(carrier)
+    gc.disable()
+    try:
+        del carrier
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_equal_carriers_build_their_own_tables(monkeypatch):
