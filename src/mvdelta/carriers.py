@@ -15,14 +15,15 @@ chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
 algebra, realised as the unit interval of the lexicographic group Z x Z
 with unit (1, 0).  Elements (0, k) with k >= 1 are the infinitesimals.
 
-Ideals, the radical and the infinitesimal test run factor by factor on
-``carrier.chain_factors``, built once per instance: each chain
-{0, 1/n, ..., 1} is checked on its own operations, O(n^2), never
-O(|A|^2), at most once per instance.  Good sequences run on integer
-tables (:class:`FiniteTables`, built once per instance: a chain's read
-off its own operations, a product's composed from its factors'
-tables).  A finite carrier past ``TABLE_ENTRY_BUDGET``
-table entries is refused before any work (:class:`TableBudgetExceeded`).
+Every finite routine runs on ``carrier.chain_factors``, built once per
+instance: the carrier as a product of chains {0, 1/n, ..., 1}, nested to
+any depth, with its one listing of the elements.  Each chain is checked
+on its own operations, O(n^2), never O(|A|^2), at most once per
+instance.  Ideals, the radical and the infinitesimal test run factor by
+factor; good sequences run on the integer oplus and order tables that
+:func:`index_tables` composes from the checked chains.  A finite
+carrier past ``TABLE_ENTRY_BUDGET`` table entries is refused before any
+work (:class:`TableBudgetExceeded`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "DeltaUnsupported",
     "ConstUnsupported",
     "Carrier",
-    "FiniteTables",
     "TABLE_ENTRY_BUDGET",
     "MAX_NESTING",
     "OverBudget",
@@ -66,6 +66,7 @@ __all__ = [
     "projection",
     "Radical",
     "radical",
+    "index_tables",
     "InfinitesimalCertificate",
     "is_infinitesimal",
     "halving_witness",
@@ -217,31 +218,9 @@ class Carrier(ABC):
         return size
 
     @cached_property
-    def tables(self) -> FiniteTables:
-        """Integer operation tables, built on first use and kept by this
-        instance, after the size has passed the table budget."""
-        self.tabulable_size()
-        return self._tabulate()
-
-    @cached_property
     def chain_factors(self) -> _ChainFactors:
         """This finite carrier as a product of chains, kept by this instance."""
         return _ChainFactors(self)
-
-    def _tabulate(self) -> FiniteTables:
-        """Read the tables off this carrier's own operations (|A|^2 calls
-        each of oplus and leq), so every check run on them still tests
-        those operations."""
-        elems = self.elements()
-        index = {x: i for i, x in enumerate(elems)}
-        oplus, leq = self.oplus, self.leq
-        return FiniteTables(
-            elems,
-            index[self.zero()],
-            [index[self.neg(x)] for x in elems],
-            [[index[oplus(x, y)] for y in elems] for x in elems],
-            [[leq(x, y) for y in elems] for x in elems],
-        )
 
     # Element text I/O for reports and the CLI.
 
@@ -423,28 +402,6 @@ class ProductAlg(Carrier):
     def size(self) -> int:
         return math.prod(f.size() for f in self.factors)
 
-    def _tabulate(self) -> FiniteTables:
-        """Compose the factors' tables, last factor fastest, as in
-        ``elements()``: element (u, a) of A x F gets index u*|F| + a."""
-        first, *rest = (f.tables for f in self.factors)
-        elems = [(x,) for x in first.elements]
-        zero, neg, oplus, leq = first.zero, first.neg, first.oplus, first.leq
-        for f in rest:
-            q = len(f.elements)
-            # Each index is looked up in ids, so the |A|^2 entries share
-            # one int object per index instead of each holding a new one.
-            ids = list(range(len(elems) * q))
-            elems = [x + (y,) for x in elems for y in f.elements]
-            zero = zero * q + f.zero
-            neg = [ids[u * q + a] for u in neg for a in f.neg]
-            oplus = [
-                [ids[v + b] for v in scaled for b in row_f]
-                for scaled in ([u * q for u in row] for row in oplus)
-                for row_f in f.oplus
-            ]
-            leq = [[s and t for s in row for t in row_f] for row in leq for row_f in f.leq]
-        return FiniteTables(elems, zero, neg, oplus, leq)
-
     def format_element(self, x) -> str:
         self._check(x)
         return "(" + ", ".join(f.format_element(a) for f, a in zip(self.factors, x)) + ")"
@@ -623,25 +580,7 @@ def carrier_from_spec(spec: str) -> Carrier:
     raise ValueError(f"unknown carrier spec {spec!r}")
 
 
-# --- Ideals, radical, infinitesimals ---------------------------------------
-
-
-class FiniteTables:
-    """A finite carrier tabulated on the integers 0..|A|-1.
-
-    Element ``i`` is ``elements[i]``, in the order of ``carrier.elements()``,
-    and ``zero``, ``neg[i]``, ``oplus[i][j]`` and ``leq[i][j]`` are the
-    operations on those numbers.  A chain's tables are read off its own
-    operations; a product's are composed from its factors' tables
-    (``Carrier._tabulate``).
-    """
-
-    def __init__(self, elements: list, zero: int, neg: list, oplus: list, leq: list):
-        self.elements = elements
-        self.zero = zero
-        self.neg = neg
-        self.oplus = oplus
-        self.leq = leq
+# --- Ideals, radical, infinitesimals, index tables -------------------------
 
 
 def _chains(carrier: Carrier) -> list[FiniteChain]:
@@ -744,6 +683,29 @@ def _check_chain(chain: FiniteChain) -> None:
         raise AssertionError(f"k -> k/{n} failed the homomorphism check on {chain.spec}")
     if any(_first_excess(chain, lambda s, y: capped[s + y], x, n + 1) is None for x in ks[1:]):
         raise AssertionError(f"radical cross-check failed on {chain.spec}: an infinitesimal found")
+
+
+def index_tables(carrier: Carrier) -> tuple[list, list]:
+    """The oplus and order tables of a finite carrier on the indices of
+    ``carrier.chain_factors.elements``, composed from its chain factors
+    once each has passed :func:`_check_chain`.  Chain p of m elements
+    adds numerators capped at m - 1 and orders them as integers; element
+    (u, k), k in chain p, gets index u*m + k, last factor fastest."""
+    oplus, leq = [[0]], [[True]]
+    for p, m in enumerate(carrier.chain_factors.sizes):
+        _checked_chain(carrier, p)
+        ks = range(m)
+        capped = [*ks, *[m - 1] * (m - 1)]  # capped[k + j] = min(k + j, m - 1)
+        # Each index is looked up in ids, so the |A|^2 entries share one
+        # int object per index instead of each holding a new one.
+        ids = list(range(len(oplus) * m))
+        oplus = [
+            [ids[v + s] for v in scaled for s in capped[k : k + m]]
+            for scaled in ([u * m for u in row] for row in oplus)
+            for k in ks
+        ]
+        leq = [[t and k <= j for t in row for j in ks] for row in leq for k in ks]
+    return oplus, leq
 
 
 def _components(carrier: Carrier, *xs) -> list[list[int]]:

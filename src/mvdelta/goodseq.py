@@ -10,13 +10,14 @@ mechanics: the monoid operations, formal differences with cross-sum
 equality, the embedding ``a -> [(a)]``, and two exhaustive round-trip
 verifications for finite carriers.
 
-The round trips run on a finite carrier's integer tables: a good
-sequence is a tuple of table indices, odot is one table built from
-the tables' neg and oplus, and each monoid sum is computed and
+The round trips run on the indices of a finite carrier's elements: a
+good sequence is a tuple of indices, oplus and the order are the tables
+of ``carriers.index_tables``, neg complements an index, odot is one
+table built from neg and oplus, and each monoid sum is computed and
 checked once per call.  The convolution formula and the goodness test
-are written once, for any carrier, and serve elements and table
-indices alike.  Both round trips estimate their work from the sizes
-before their pair loops and refuse it past ``WORK_BUDGET``.
+are written once, for any carrier, and serve elements and indices
+alike.  Both round trips estimate their work from the sizes before
+their pair loops and refuse it past ``WORK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .carriers import Carrier, CarrierMismatch, FiniteChain, WorkBudgetExceeded, check_work
+from .carriers import (
+    Carrier, CarrierMismatch, FiniteChain, WorkBudgetExceeded, check_work, index_tables
+)
 
 __all__ = [
     "GoodSeq",
@@ -229,19 +232,20 @@ def xi_meet(x: XiElem, y: XiElem) -> XiElem:
 
 
 class _Indices(Carrier):
-    """A finite carrier on the indices 0..|A|-1 of its tables: zero, oplus,
-    neg, leq and odot (neg(oplus(neg i, neg j)), tabulated once) are table
-    lookups; join and meet are derived by :class:`Carrier`."""
+    """A finite carrier on the indices 0..|A|-1 of ``chain_factors.elements``:
+    zero is 0, neg i is |A| - 1 - i (each mixed-radix digit complemented),
+    oplus, leq and odot (neg(oplus(neg i, neg j))) are table lookups."""
 
     spec = "indices"
 
-    def __init__(self, tables):
-        neg, oplus = tables.neg, tables.oplus
-        self._zero, self._oplus, self._neg, self._leq = tables.zero, oplus, neg, tables.leq
+    def __init__(self, carrier: Carrier):
+        oplus, leq = index_tables(carrier)
+        neg = list(range(len(oplus) - 1, -1, -1))
+        self._oplus, self._neg, self._leq = oplus, neg, leq
         self._odot = [[neg[s] for s in map(oplus[a].__getitem__, neg)] for a in neg]
 
     def zero(self) -> int:
-        return self._zero
+        return 0
 
     def oplus(self, i: int, j: int) -> int:
         return self._oplus[i][j]
@@ -273,14 +277,12 @@ def _good_seqs(K: _Indices, max_len: int) -> list[tuple]:
 
 def enumerate_good_seqs(carrier: Carrier, max_len: int) -> list[GoodSeq]:
     """All good sequences of length <= max_len over a finite carrier,
-    enumerated on its tables and mapped back to elements."""
+    enumerated on the indices of its elements and mapped back to them."""
     if not carrier.is_finite():
         raise CarrierMismatch(f"enumeration needs a finite carrier, not {carrier.spec}")
-    elements = carrier.tables.elements
-    return [
-        GoodSeq(carrier, tuple(map(elements.__getitem__, s)))
-        for s in _good_seqs(_Indices(carrier.tables), max_len)
-    ]
+    seqs = _good_seqs(_Indices(carrier), max_len)
+    elements = carrier.chain_factors.elements
+    return [GoodSeq(carrier, tuple(map(elements.__getitem__, s))) for s in seqs]
 
 
 @dataclass(frozen=True)
@@ -305,17 +307,17 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     that the embedding a -> [(a)] is a bijection onto those classes
     carrying oplus to truncated sum and neg to unit-minus.
 
-    On the carrier's tables a formal difference is a (pos, neg) pair of
-    index tuples, and each monoid sum is computed once per call.
-    Raises WorkBudgetExceeded, before the pair loops, when the sequence
-    pairs times the classes pass WORK_BUDGET, and before the tables are
-    built when a lower bound from |A| alone does (after the table budget).
+    A formal difference is a (pos, neg) pair of index tuples, and each
+    monoid sum is computed once per call.  Raises WorkBudgetExceeded,
+    before the pair loops, when the sequence pairs times the classes pass
+    WORK_BUDGET, and before any element is listed when a lower bound from
+    |A| alone does (after the table budget).
     """
     elements = carrier.tabulable_size()
     # () and each (a) with a nonzero are good: at least |A| sequences.
     least = elements if max_len >= 1 else 1
     check_work(f"gamma_of_xi({carrier.spec})", least**2 * (elements + 1), WORK_BUDGET)
-    K = _Indices(carrier.tables)
+    K = _Indices(carrier)
     size = range(K.size())
     sums: dict[tuple, tuple] = {}
 
@@ -390,9 +392,9 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     [0, bound] and turns monoid addition into rational addition whenever
     the result stays inside the window.
 
-    On the chain's tables index k is the element k/n, so entry sums are
+    On the chain's indices k is the element k/n, so entry sums are
     numerators over n, compared with cap = floor(bound * n).  Raises
-    WorkBudgetExceeded, before the tables are built, when the sequence
+    WorkBudgetExceeded, before the chain is checked, when the sequence
     pairs times their squared length pass WORK_BUDGET.
     """
     if n < 1:
@@ -404,7 +406,7 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     # cap + 1 sequences of at most ceil(cap / n) entries, summed in pairs.
     estimate = (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2
     check_work(f"xi_chain_iso({n}, {bound})", estimate, WORK_BUDGET)
-    K = _Indices(FiniteChain(n).tables)
+    K = _Indices(FiniteChain(n))
     # Every entry but the last is the top n, so none is longer than ceil(cap / n).
     seqs = [s for s in _good_seqs(K, -(-cap // n)) if sum(s) <= cap]
     sums = [sum(s) for s in seqs]

@@ -11,7 +11,7 @@ Grammar (ASCII, whitespace insignificant between tokens)::
               | "half(" term ")" | "halfn(" int "," term ")"
               | "nfold(" int "," term ")"
     termlist := term { "," term } | epsilon
-    rat      := int | int "/" int          (must lie in [0, 1])
+    rat      := int | int "/" int          (one token; must lie in [0, 1])
     var      := [a-z][a-z0-9_]*
 
 Operation names are reserved words and cannot be used as variables.
@@ -213,8 +213,8 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<name>[a-z][a-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<punct><=|[(),;/=])
+  | (?P<num>[0-9]+(?:/[0-9]+)?)
+  | (?P<punct><=|[(),;=])
   | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
@@ -228,8 +228,8 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        # Tokens are (kind, text, offset): kind is "name", "int", "punct"
-        # or, last, "eof".
+        # Tokens are (kind, text, offset): kind is "name", "num" (a digit
+        # run, or a rational p/q), "punct" or, last, "eof".
         self.toks = []
         for m in _TOKEN_RE.finditer(text):
             if m.lastgroup == "bad":
@@ -262,18 +262,12 @@ class _Parser:
         open_ = []
         while True:
             kind, name, at = self.next()
-            if kind == "int":
-                num, den = int(name), 1
-                if self.peek() == "/":
-                    self.next()
-                    kind, den, den_at = self.next()
-                    if kind != "int":
-                        raise self.error("expected denominator", den_at)
-                    den = int(den)
-                    if den == 0:
-                        raise self.error("zero denominator", den_at)
+            if kind == "num":
+                num, _, den = name.partition("/")
+                if den and not int(den):
+                    raise self.error("zero denominator", at + len(num) + 1)
                 try:
-                    term = Const(Q01(num, den))
+                    term = Const(Q01(int(num), int(den or 1)))
                 except ValueError as exc:
                     raise self.error(str(exc), at) from None
             elif kind != "name":
@@ -285,7 +279,7 @@ class _Parser:
                 frame = [name, at, [], False]
                 if name in _INT_FIRST:
                     kind, count, frame[1] = self.next()
-                    if kind != "int":
+                    if kind != "num" or "/" in count:
                         raise self.error(f"expected integer, got {count!r}", frame[1])
                     frame[2].append(int(count))
                     self.expect(",")

@@ -128,8 +128,9 @@ def halve_n_by_loop(carrier: Carrier, n: int, x):
 
 
 def tables_by_operations(carrier: Carrier) -> SimpleNamespace:
-    """The fields of ``carrier.tables``, read off the carrier's own
-    operations: |A|^2 calls each of oplus and leq."""
+    """A finite carrier on the indices of ``carrier.elements()``: the
+    listing, zero, and the neg, oplus and order tables, read off the
+    carrier's own operations (|A|^2 calls each of oplus and leq)."""
     elems = carrier.elements()
     index = {x: i for i, x in enumerate(elems)}
     return SimpleNamespace(
@@ -235,8 +236,8 @@ def brute_force_homs(carrier: Carrier) -> list[Hom]:
 
 # --- The finite layer on |A|^2 tables ------------------------------------------
 # Ideals, homs, the radical and eta as the library computed them before it
-# went factor by factor: on the carrier's integer tables (themselves checked
-# against the operations in test_carriers.py), every ideal as the down-set
+# went factor by factor: on integer tables read off the carrier's own
+# operations (tables_by_operations), every ideal as the down-set
 # of a stable multiple, each hom by ranking the classes of the quotient,
 # and the radical cross-checked by every element's bounded multiples.
 
@@ -262,7 +263,7 @@ class FiniteByTables:
     """The finite layer of one carrier on its |A|^2 tables."""
 
     def __init__(self, carrier: Carrier):
-        t = self.tables = carrier.tables
+        t = self.tables = tables_by_operations(carrier)
         self.carrier = carrier
         self.index = {x: i for i, x in enumerate(t.elements)}
         size = range(len(t.elements))
@@ -421,7 +422,7 @@ class WrongSum(FiniteChain):
 
 # The good-sequence round trips as they ran on the carrier's own
 # operations, one checked oplus/odot call per term of every monoid sum,
-# with no sum kept; goodseq runs them on the carrier's tables.
+# with no sum kept; goodseq runs them on the indices of the elements.
 
 
 def enumerate_good_seqs_by_operations(carrier: Carrier, max_len: int) -> list[GoodSeq]:
@@ -789,9 +790,9 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<name>[a-z][a-z0-9_]*)
-  | (?P<int>\d+)
+  | (?P<int>\d+(?:/\d+)?)
   | (?P<leq><=)
-  | (?P<punct>[(),;/=])
+  | (?P<punct>[(),;=])
     """,
     re.VERBOSE,
 )
@@ -851,23 +852,17 @@ class _Parser:
 
     def parse_int(self) -> int:
         tok = self.next()
-        if tok.kind != "int":
+        if tok.kind != "int" or "/" in tok.text:
             raise ParseError(f"expected integer, got {tok.text!r}", tok.line, tok.col)
         return int(tok.text)
 
     def parse_rat(self, first: _Tok) -> Q01:
-        num = int(first.text)
-        den = 1
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.next()
-            if den_tok.kind != "int":
-                raise ParseError("expected denominator", den_tok.line, den_tok.col)
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+        # A rational p/q is one token, with no whitespace around the "/".
+        num, _, den = first.text.partition("/")
+        if den and int(den) == 0:
+            raise ParseError("zero denominator", first.line, first.col + len(num) + 1)
         try:
-            return Q01(num, den)
+            return Q01(int(num), int(den or 1))
         except ValueError as exc:
             raise ParseError(str(exc), first.line, first.col) from None
 

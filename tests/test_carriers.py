@@ -19,12 +19,14 @@ from mvdelta.carriers import (
     carrier_from_spec,
     enumerate_ideals,
     halving_witness,
+    index_tables,
     is_ideal,
     is_infinitesimal,
     maximal_ideals,
     principal_ideal,
     radical,
 )
+from mvdelta.goodseq import _Indices
 from mvdelta.plfunc import PL_CARRIER, pl_identity, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.terms import evaluate, free_vars
@@ -374,13 +376,24 @@ def test_halve_n_default_is_one_delta_call():
     ],
 )
 def test_tables_agree_with_the_operations(spec):
-    tables = carrier_from_spec(spec).tables
+    # The index tables composed from the chain factors, and the zero and
+    # neg that the good-sequence layer derives from the index order.
+    carrier = carrier_from_spec(spec)
+    oplus, leq = index_tables(carrier)
+    K = _Indices(carrier)
+    got = {
+        "elements": carrier.chain_factors.elements,
+        "zero": K.zero(),
+        "neg": list(map(K.neg, range(K.size()))),
+        "oplus": oplus,
+        "leq": leq,
+    }
     want = tables_by_operations(carrier_from_spec(spec))
-    for field in ("elements", "zero", "neg", "oplus", "leq"):
-        assert getattr(tables, field) == getattr(want, field), field
+    for field, value in got.items():
+        assert value == getattr(want, field), field
 
 
-class _Built(Exception):
+class _Listed(Exception):
     pass
 
 
@@ -396,21 +409,18 @@ class _Built(Exception):
     ids=["chain", "product"],
 )
 def test_table_budget_admits_1024_elements_and_refuses_1025(monkeypatch, admitted, refused):
-    def build(self):
-        raise _Built(self.spec)
-
     def listed(self):
-        raise AssertionError(f"{self.spec} listed its elements")
+        raise _Listed(self.spec)
 
-    for cls in (Carrier, ProductAlg):
-        monkeypatch.setattr(cls, "_tabulate", build)
     for cls in (FiniteChain, ProductAlg):
         monkeypatch.setattr(cls, "elements", listed)
     assert admitted.size() == 1024 and refused.size() == 1025
-    with pytest.raises(_Built):
-        admitted.tables
+    # The admitted carrier gets past the budget to its one listing; the
+    # refused one is stopped before any element is listed.
+    with pytest.raises(_Listed):
+        admitted.chain_factors
     with pytest.raises(TableBudgetExceeded) as exc:
-        refused.tables
+        refused.chain_factors
     assert str(exc.value) == (
         f"table budget exceeded: {refused.spec} has 1025 elements, "
         "over the limit of 1024 (1048576 table entries)"

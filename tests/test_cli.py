@@ -516,9 +516,15 @@ def test_oversize_isbell_exits_on_the_work_budget(capsys, tmp_path, depth, estim
         ("eval", "1", "--carrier", "chain:3_0"),
         ("eval", "x", "--carrier", "chang", "--assign", "x=(0,+2)"),
         ("eval", "x", "--carrier", "prod(chain:1,chain:2)", "--assign", "x=(1,1/2\n)"),
+        ("eval", "1 / 2", "--carrier", "q01"),
+        ("eval", "1/ 2", "--carrier", "q01"),
+        ("eval", "1 /2", "--carrier", "q01"),
+        ("check", "oplus(x, 1 / 2) = x"),
     ],
     ids=["trailing_newline", "arabic_digits", "arabic_count", "arabic_chain", "spaced_chain",
-         "signed_chain", "underscored_chain", "signed_chang", "newline_in_product"],
+         "signed_chain", "underscored_chain", "signed_chang", "newline_in_product",
+         "spaced_rational", "spaced_rational_denominator", "spaced_rational_numerator",
+         "spaced_rational_in_check"],
 )
 def test_literals_take_ascii_digits_only(capsys, argv):
     code, text = invoke(*argv)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvdelta import carriers
+from mvdelta import carriers, goodseq
 from mvdelta.carriers import (
     CHANG,
     CarrierError,
@@ -39,7 +39,7 @@ from mvdelta.spectrum import (
     spectrum,
     v_of,
 )
-from oracles import FiniteByTables, WrongSum, brute_force_homs, is_rank_hom
+from oracles import FiniteByTables, WrongSum, brute_force_homs, is_rank_hom, tables_by_operations
 
 L23 = ProductAlg((FiniteChain(2), FiniteChain(3)))
 
@@ -107,7 +107,7 @@ def test_holder_hom_rejects_improper_ideal():
 def test_rank_check_rejects_swapped_ranks():
     # The oracle's rank check, which FiniteByTables.holder_hom relies on.
     for K in (FiniteChain(4), L23):
-        tables = K.tables
+        tables = tables_by_operations(K)
         for h in enumerate_homs(K):
             m = len(h.image()) - 1
             rank = [int(h.table[x] * m) for x in tables.elements]
@@ -121,12 +121,22 @@ def test_rank_check_rejects_swapped_ranks():
 
 
 @pytest.mark.parametrize(
-    "routine", [spectrum, eta, carriers.radical], ids=["spectrum", "eta", "radical"]
+    "routine",
+    [
+        spectrum,
+        eta,
+        carriers.radical,
+        goodseq.gamma_of_xi,
+        lambda K: goodseq.enumerate_good_seqs(K, 3),
+    ],
+    ids=["spectrum", "eta", "radical", "gamma_of_xi", "enumerate_good_seqs"],
 )
 @pytest.mark.parametrize("n", [2, 3])
 def test_chain_check_rejects_every_wrong_oplus_entry(routine, n):
     # Every single-entry corruption of the chain's oplus, alone and as a
-    # factor: the per-chain check runs on the chain's own oplus.
+    # factor: the per-chain check runs on the chain's own oplus, in the
+    # spectrum routines and before the good-sequence round trips compose
+    # their index tables.
     for x in range(n + 1):
         for y in range(n + 1):
             for wrong in set(range(n + 1)) - {min(x + y, n)}:
@@ -216,12 +226,6 @@ def test_radical_cross_check_reads_the_chains_own_order(routine):
             routine(carrier)
 
 
-def _carriers_within(carrier):
-    yield carrier
-    for factor in getattr(carrier, "factors", ()):
-        yield from _carriers_within(factor)
-
-
 @pytest.mark.parametrize(
     "routine",
     [
@@ -238,10 +242,15 @@ def _carriers_within(carrier):
     ids=["spectrum", "radical", "eta", "maximal_ideals", "enumerate_ideals", "epsilon_finite",
          "principal_ideal", "is_infinitesimal", "is_ideal"],
 )
-def test_finite_routines_leave_the_tables_unbuilt(routine):
-    carrier = ProductAlg((FiniteChain(2), FiniteChain(0), FiniteChain(3)))
-    routine(carrier)
-    assert all("tables" not in vars(c) for c in _carriers_within(carrier))
+def test_finite_routines_leave_the_tables_unbuilt(monkeypatch, routine):
+    # No spectrum routine builds an |A|^2 table: only the good-sequence
+    # round trips compose the index tables.
+    def built(carrier):
+        raise AssertionError(f"{carrier.spec} built its index tables")
+
+    for module in (carriers, goodseq):
+        monkeypatch.setattr(module, "index_tables", built)
+    routine(ProductAlg((FiniteChain(2), FiniteChain(0), FiniteChain(3))))
 
 
 def _count_oplus(monkeypatch, cls) -> list[int]:
@@ -319,7 +328,7 @@ def test_equal_carriers_build_their_own_tables(monkeypatch):
     assert built_once > 0
     spectrum(second)
     assert calls[0] == 2 * built_once
-    assert first.tables is not second.tables
+    assert first.chain_factors is not second.chain_factors
 
 
 def test_v_of_examples():
