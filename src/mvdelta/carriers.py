@@ -18,12 +18,13 @@ with unit (1, 0).  Elements (0, k) with k >= 1 are the infinitesimals.
 Every finite routine runs on ``carrier.chain_factors``, built once per
 instance: the carrier as a product of chains {0, 1/n, ..., 1}, nested to
 any depth, with its one listing of the elements.  Each chain is checked
-on its own operations, O(n^2), never O(|A|^2), at most once per
-instance.  Ideals, the radical and the infinitesimal test run factor by
-factor; good sequences run on the integer oplus and order tables that
-:func:`index_tables` composes from the checked chains.  A finite
-carrier past ``TABLE_ENTRY_BUDGET`` table entries is refused before any
-work (:class:`TableBudgetExceeded`).
+on its own operations, O(n^2), never O(|A|^2), where the chain factors
+are built, so no routine answers on an unchecked chain.  Ideals, the
+radical and the infinitesimal test run factor by factor; good sequences
+run on the integer oplus and order tables that :func:`index_tables`
+composes from the checked chains.  A finite carrier past
+``TABLE_ENTRY_BUDGET`` table entries is refused before any work
+(:class:`TableBudgetExceeded`), its chains unchecked.
 """
 
 from __future__ import annotations
@@ -593,19 +594,22 @@ def _chains(carrier: Carrier) -> list[FiniteChain]:
 
 
 class _ChainFactors:
-    """A finite carrier, once its size has passed the table budget, as a
-    product of chains of ``sizes`` n + 1, and its one listing ``elements``
-    (last factor fastest, so ``elements[i]`` has numerator
-    ``i // strides[p] % sizes[p]`` in chain p).  It refers to no carrier,
-    so the carrier that keeps it is freed without the cycle collector."""
+    """A finite carrier, once its size has passed the table budget and
+    each of its chains :func:`_check_chain`, as a product of chains of
+    ``sizes`` n + 1, and its one listing ``elements`` (last factor fastest,
+    so ``elements[i]`` has numerator ``i // strides[p] % sizes[p]`` in
+    chain p).  It refers to no carrier, so the carrier that keeps it is
+    freed without the cycle collector."""
 
     def __init__(self, carrier: Carrier):
         carrier.tabulable_size()
-        self.sizes = [c.n + 1 for c in _chains(carrier)]
+        chains = _chains(carrier)
+        for chain in chains:
+            _check_chain(chain)
+        self.sizes = [c.n + 1 for c in chains]
         self.elements = carrier.elements()
         self.strides = [math.prod(self.sizes[p + 1 :]) for p in range(len(self.sizes))]
         self.nontrivial = [p for p, m in enumerate(self.sizes) if m > 1]
-        self.checked: set[int] = set()
 
     @cached_property
     def index(self) -> dict:
@@ -621,22 +625,11 @@ class _ChainFactors:
         return frozenset(map(self.elements.__getitem__, indices))
 
 
-def _checked_chain(carrier: Carrier, p: int) -> FiniteChain:
-    """Chain factor p of the carrier, once :func:`_check_chain` has passed
-    on it, which it does at most once per carrier instance."""
-    chain = _chains(carrier)[p]
-    checked = carrier.chain_factors.checked
-    if p not in checked:
-        _check_chain(chain)
-        checked.add(p)
-    return chain
-
-
 def projection(carrier: Carrier, ideal: frozenset) -> dict:
     """The value table of the projection of a finite carrier onto the
     nontrivial chain factor {0, 1/n, ..., 1} at which every member of the
-    ideal is 0, followed by k -> k/n, once that chain is checked: by value,
-    in element order within a value."""
+    ideal is 0, followed by k -> k/n, which the chain's check showed to be
+    a homomorphism: by value, in element order within a value."""
     factors = carrier.chain_factors
     members = [i for i, x in enumerate(factors.elements) if x in ideal]
     if len(members) == len(factors.elements):
@@ -646,7 +639,7 @@ def projection(carrier: Carrier, ideal: frozenset) -> dict:
     if len(zeroed) != 1:
         raise AssertionError("quotient by the ideal is not a chain")
     (p,) = zeroed
-    n, stride = _checked_chain(carrier, p).n, strides[p]
+    n, stride = sizes[p] - 1, strides[p]
     by_value: list[list] = [[] for _ in range(n + 1)]
     for i, x in enumerate(factors.elements):
         by_value[i // stride % (n + 1)].append(x)
@@ -687,13 +680,12 @@ def _check_chain(chain: FiniteChain) -> None:
 
 def index_tables(carrier: Carrier) -> tuple[list, list]:
     """The oplus and order tables of a finite carrier on the indices of
-    ``carrier.chain_factors.elements``, composed from its chain factors
-    once each has passed :func:`_check_chain`.  Chain p of m elements
-    adds numerators capped at m - 1 and orders them as integers; element
-    (u, k), k in chain p, gets index u*m + k, last factor fastest."""
+    ``carrier.chain_factors.elements``, composed from its checked chain
+    factors.  Chain p of m elements adds numerators capped at m - 1 and
+    orders them as integers; element (u, k), k in chain p, gets index
+    u*m + k, last factor fastest."""
     oplus, leq = [[0]], [[True]]
-    for p, m in enumerate(carrier.chain_factors.sizes):
-        _checked_chain(carrier, p)
+    for m in carrier.chain_factors.sizes:
         ks = range(m)
         capped = [*ks, *[m - 1] * (m - 1)]  # capped[k + j] = min(k + j, m - 1)
         # Each index is looked up in ids, so the |A|^2 entries share one
@@ -776,10 +768,10 @@ def radical(carrier: Carrier) -> Radical:
     """Radical ideal: intersection of maximal ideals.
 
     A finite carrier is a product of chains, whose maximal ideals, the
-    projection kernels, meet in {0}; that is returned once every chain
-    factor has passed :func:`_check_chain`, which also finds the chain's
-    radical {0} by bounded multiples ``n*x <= neg(x)``.  Chang's algebra
-    and the piecewise-linear carrier use closed forms.
+    projection kernels, meet in {0}; that is returned once its chain
+    factors are built, each checked by :func:`_check_chain`, which also
+    finds the chain's radical {0} by bounded multiples ``n*x <= neg(x)``.
+    Chang's algebra and the piecewise-linear carrier use closed forms.
     """
     if isinstance(carrier, ChangAlgebra):
         return Radical("chang", "closed-form", None, "{(0,k) : k >= 0}")
@@ -787,9 +779,7 @@ def radical(carrier: Carrier) -> Radical:
         return Radical("pl", "closed-form", None, "{0} (semisimple)")
     if not carrier.is_finite():
         raise CarrierError(f"no radical computation for carrier {carrier.spec}")
-    for p in range(len(carrier.chain_factors.sizes)):
-        _checked_chain(carrier, p)
-    zero = carrier.zero()
+    zero = carrier.chain_factors.elements[0]
     description = "{" + carrier.format_element(zero) + "}"
     return Radical(carrier.spec, "finite", frozenset({zero}), description)
 
@@ -801,13 +791,13 @@ class InfinitesimalCertificate:
     failing_n: int | None = None
 
 
-def is_infinitesimal(carrier: Carrier, x, bound: int | None = None) -> InfinitesimalCertificate:
+def is_infinitesimal(carrier: Carrier, x) -> InfinitesimalCertificate:
     """Decide whether x is infinitesimal (nonzero with n*x <= neg(x) for all n).
 
-    Exact for Chang's algebra (closed form, bound ignored) and for finite
-    carriers, factor by factor with each chain's own oplus and order: the
-    multiples stabilise within the carrier size, and the first n to fail
-    is the least over the components.
+    Exact for Chang's algebra (closed form) and for finite carriers,
+    factor by factor with each chain's own oplus and order: the multiples
+    stabilise within the carrier size, which bounds the search, and the
+    first n to fail is the least over the components.
     """
     if isinstance(carrier, ChangAlgebra):
         carrier._check(x)
@@ -823,7 +813,7 @@ def is_infinitesimal(carrier: Carrier, x, bound: int | None = None) -> Infinites
     (ks,) = _components(carrier, x)
     if not any(ks):
         return InfinitesimalCertificate(False, "zero is not infinitesimal")
-    limit = bound if bound is not None else len(carrier.chain_factors.elements)
+    limit = len(carrier.chain_factors.elements)
     firsts = [_first_excess(c, c.oplus, k, limit) for c, k in zip(_chains(carrier), ks) if k]
     n = min((n for n in firsts if n is not None), default=None)
     if n is not None:

@@ -6,11 +6,12 @@ factor, with no table of the whole product.  Its maximal ideals are
 the kernels of the projections onto the nontrivial chain factors; the
 homomorphism attached to one is that projection followed by k -> k/n,
 the one embedding of the chain {0, 1/n, ..., 1} into [0,1], checked on
-that chain's own operations.  Every subset of the maximal ideals is
-closed, so the Stone topology is discrete, and the radical is {0}.
-Chang's algebra is handled by its closed form (one maximal ideal, the
-infinitesimals), and point-evaluation/precomposition homomorphisms of
-the function carrier support the delta-preservation checks.
+that chain's own operations once, when the carrier's chain factors are
+built.  Every subset of the maximal ideals is closed, so the Stone
+topology is discrete, and the radical is {0}.  Chang's algebra is
+handled by its closed form (one maximal ideal, the infinitesimals), and
+point-evaluation/precomposition homomorphisms of the function carrier
+support the delta-preservation checks.
 
 ``bench/tracing.py`` patches ``maximal_ideals``, ``enumerate_ideals``
 (imported for that alone), ``radical`` and ``holder_hom`` here, so all
@@ -78,8 +79,9 @@ class Hom:
 def holder_hom(carrier: Carrier, ideal: frozenset) -> Hom:
     """The unique homomorphism with the given maximal ideal as kernel: the
     projection onto the chain factor {0, 1/n, ..., 1} at which all its
-    elements are 0, followed by k -> k/n (:func:`carriers.projection`, which
-    checks that chain), its kernel checked against the ideal."""
+    elements are 0, followed by k -> k/n (:func:`carriers.projection`, on
+    the chain checked with the chain factors), its kernel checked against
+    the ideal."""
     hom = Hom(carrier, projection(carrier, ideal))
     if hom.kernel() != ideal:
         raise AssertionError("kernel of the projection differs from the ideal")
@@ -138,9 +140,9 @@ class EtaReport:
 
 
 def eta(carrier: Carrier) -> EtaReport:
-    """The evaluation map a -> (h(a) for every hom h).  Its radical reuses
-    the chain checks :func:`holder_hom` ran while building the homs, so
-    each chain factor is checked once."""
+    """The evaluation map a -> (h(a) for every hom h).  The homs and the
+    radical share the carrier's chain factors, so each chain is checked
+    once, when they are built."""
     elems = carrier.chain_factors.elements
     homs = enumerate_homs(carrier)
     values = {a: tuple(h.table[a] for h in homs) for a in elems}

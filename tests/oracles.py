@@ -790,7 +790,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<name>[a-z][a-z0-9_]*)
-  | (?P<int>\d+(?:/\d+)?)
+  | (?P<int>[0-9]+(?:/[0-9]+)?)
   | (?P<leq><=)
   | (?P<punct>[(),;=])
     """,

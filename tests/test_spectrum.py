@@ -128,15 +128,21 @@ def test_rank_check_rejects_swapped_ranks():
         carriers.radical,
         goodseq.gamma_of_xi,
         lambda K: goodseq.enumerate_good_seqs(K, 3),
+        maximal_ideals,
+        enumerate_ideals,
+        lambda K: [principal_ideal(K, a) for a in K.elements()],
+        lambda K: [is_infinitesimal(K, a) for a in K.elements()],
+        lambda K: is_ideal(K, frozenset({K.zero()})),
+        lambda K: epsilon_finite(K.factors if isinstance(K, ProductAlg) else [K]),
     ],
-    ids=["spectrum", "eta", "radical", "gamma_of_xi", "enumerate_good_seqs"],
+    ids=["spectrum", "eta", "radical", "gamma_of_xi", "enumerate_good_seqs", "maximal_ideals",
+         "enumerate_ideals", "principal_ideal", "is_infinitesimal", "is_ideal", "epsilon_finite"],
 )
 @pytest.mark.parametrize("n", [2, 3])
 def test_chain_check_rejects_every_wrong_oplus_entry(routine, n):
     # Every single-entry corruption of the chain's oplus, alone and as a
-    # factor: the per-chain check runs on the chain's own oplus, in the
-    # spectrum routines and before the good-sequence round trips compose
-    # their index tables.
+    # factor: each chain is checked on its own oplus where the carrier's
+    # chain factors are built, before any finite routine answers.
     for x in range(n + 1):
         for y in range(n + 1):
             for wrong in set(range(n + 1)) - {min(x + y, n)}:
@@ -193,8 +199,7 @@ def test_factor_wise_layer_matches_table_oracle(spec):
     sample = elems if len(elems) <= 250 else elems[::7] + elems[-1:]
     for a in sample:
         assert principal_ideal(K, a) == oracle.principal_ideal(a), a
-        for bound in (None, 0, 1, 2, 3):
-            assert is_infinitesimal(K, a, bound) == oracle.is_infinitesimal(a, bound), (a, bound)
+        assert is_infinitesimal(K, a) == oracle.is_infinitesimal(a), a
     if len(elems) <= 8:
         sizes = range(len(elems) + 1)
         subsets = [frozenset(c) for r in sizes for c in itertools.combinations(elems, r)]
@@ -276,6 +281,21 @@ def test_finite_routines_tabulate_oplus_once(monkeypatch, routine):
     # once, by the check of that chain.
     assert product_calls[0] == 0
     assert chain_calls[0] <= 3**2 + 4**2 == 25
+
+
+def test_is_infinitesimal_refuses_an_unchecked_chain():
+    # 1/2 + 1/2 = 0 in this chain would make 1/2 an infinitesimal.
+    with pytest.raises(AssertionError, match="homomorphism check"):
+        is_infinitesimal(WrongSum(2, 1, 1, 0), 1)
+
+
+def test_maximal_ideals_alone_checks_each_chain_once(monkeypatch):
+    chain_calls = _count_oplus(monkeypatch, FiniteChain)
+    carrier = carrier_from_spec("prod(chain:2,chain:3)")
+    maximal_ideals(carrier)
+    assert chain_calls[0] == 3**2 + 4**2
+    maximal_ideals(carrier)
+    assert chain_calls[0] == 3**2 + 4**2
 
 
 def test_one_carrier_is_listed_and_checked_once_across_routines(monkeypatch):

@@ -2,7 +2,7 @@ import ast
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvdelta
@@ -231,7 +231,7 @@ def _edits(text, at, edit, char):
 
 
 _MUTATED_TEXTS = st.builds(
-    _edits, st.sampled_from(_CORPUS_TEXTS), st.integers(0, 400), st.integers(0, 2), st.sampled_from("(),;/=<> \n0129xyaeg!")
+    _edits, st.sampled_from(_CORPUS_TEXTS), st.integers(0, 400), st.integers(0, 2), st.sampled_from("(),;/=<> \n0129xyaeg!\u0661")
 )
 
 
@@ -244,6 +244,7 @@ def _parsed(parser, text):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(_texts(3), _EQUATION_TEXTS, _MUTATED_TEXTS))
+@example("\u0661/\u0662")
 def test_parser_agrees_with_recursive_oracle(text):
     assert _parsed(parse, text) == _parsed(parse_by_recursion, text)
     assert _parsed(parse_equation, text) == _parsed(parse_equation_by_recursion, text)
