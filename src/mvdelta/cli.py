@@ -138,7 +138,10 @@ def _parse_assignment(text: str, carrier) -> dict:
         name, sep, value = chunk.partition("=")
         if not sep:
             raise ValueError(f"assignment {chunk!r} is not of the form name=value")
-        assignment[name.strip(" ")] = carrier.parse_element(value.strip(" "))
+        name = name.strip(" ")
+        if name in assignment:
+            raise ValueError(f"variable {name!r} is assigned twice")
+        assignment[name] = carrier.parse_element(value.strip(" "))
     return assignment
 
 

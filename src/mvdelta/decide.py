@@ -6,10 +6,10 @@ the unit cube: truncated addition splits into the two affine regimes
 an eventually-constant delta is a single affine combination (its value
 never reaches the truncation threshold).  ``compile_term`` produces the
 resulting pieces, each a guard (a tuple of ``linarith`` constraints,
-the box included) and a form; validity of ``lhs <= rhs`` on the cube
-then reduces to infeasibility of ``guard_l and guard_r and
-(lhs - rhs > 0)`` for every pair of pieces, which Fourier-Motzkin
-decides exactly.
+leaving out the box, which ``linarith.feasible`` adds) and a form;
+validity of ``lhs <= rhs`` on the cube then reduces to infeasibility
+of ``guard_l and guard_r and (lhs - rhs > 0)`` within the box for
+every pair of pieces, which Fourier-Motzkin decides exactly.
 
 The regimes are half-open, so the pieces of a term partition the box:
 every point lies in exactly one piece, whose form is the term's value
@@ -188,7 +188,7 @@ class _PieceLists:
                     # Where total <= 1 on the whole box, the above regime
                     # is at most a face, where it agrees with the below one.
                     if linarith.box_range(excess)[1] > 0:
-                        above = Constraint(excess, False, self.names)
+                        above = Constraint(excess, False)
                         regimes = ((above.complement(), total), (above, self.one))
                 for extra, form in regimes:
                     guard = _combine(gl, gr, extra)
@@ -211,14 +211,13 @@ def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET):
     """Compile an expanded term into pieces partitioning the box.
 
     Returns the sorted variable names, the program's denominator D and
-    the (guard constraints, form) pieces; every guard includes the box,
+    the (guard constraints, form) pieces; a guard leaves out the box,
     and a form is an int row whose value is ``(row . (v, 1)) / D``.
     Raises linarith.BudgetExceeded when the piece count passes the budget.
     """
     code, (slot,), halving_depth = terms.compile_core((t,))
     names, scale, lists = _piece_lists(code, halving_depth, budget)
-    box = tuple(linarith.box_constraints(names))
-    return names, scale, [(box + g, f) for g, f in lists[slot]]
+    return names, scale, lists[slot]
 
 
 def _decide_leq_pieces(lhs_pieces: _Pieces, rhs_pieces: _Pieces, names, budget: int):
@@ -227,57 +226,46 @@ def _decide_leq_pieces(lhs_pieces: _Pieces, rhs_pieces: _Pieces, names, budget: 
     pairs = len(lhs_pieces) * len(rhs_pieces)
     if pairs > budget:
         raise BudgetExceeded(f"{pairs} piece pairs exceed the budget")
-    box = tuple(linarith.box_constraints(names))
     for gl, al in lhs_pieces:
         for gr, ar in rhs_pieces:
-            guard = _combine(gl, gr, Constraint(map(sub, al, ar), True, names))
+            guard = _combine(gl, gr, Constraint(map(sub, al, ar), True))
             if guard is not None:
-                witness = linarith.feasible(box + guard)
+                witness = linarith.feasible(guard, names)
                 if witness is not None:
                     return witness
     return None
 
 
-def _decide_expanded(le: Term, re_: Term, relation: str, budget: int) -> Verdict:
-    """lhs <= rhs, and for "eq" then rhs <= lhs, over one program of both sides."""
-    code, (lhs, rhs), halving_depth = terms.compile_core((le, re_))
+def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
+    """Valid iff lhs <= rhs ("leq") or lhs = rhs ("eq") identically on the
+    unit cube; an equation is two <= checks over one program of both sides."""
+    if relation not in ("eq", "leq"):
+        raise ValueError(f"unknown relation {relation!r}")
+    code, (left, right), halving_depth = terms.compile_core((terms.expand(lhs), terms.expand(rhs)))
     try:
         names, _, pieces = _piece_lists(code, halving_depth, budget)
-        witness = _decide_leq_pieces(pieces[lhs], pieces[rhs], names, budget)
+        witness = _decide_leq_pieces(pieces[left], pieces[right], names, budget)
         if relation == "eq" and witness is None:
-            witness = _decide_leq_pieces(pieces[rhs], pieces[lhs], names, budget)
+            witness = _decide_leq_pieces(pieces[right], pieces[left], names, budget)
     except BudgetExceeded as exc:
         return LimitExceeded(BudgetReport(budget, str(exc)))
     if witness is None:
         return Valid()
     assignment = {v: Q01(witness[v]) for v in sorted(witness)}
     values = terms.run(code, assignment, Q01_CARRIER)
-    return Counterexample(assignment, values[lhs], values[rhs])
+    lv, rv = values[left], values[right]
+    assert lv != rv if relation == "eq" else not lv <= rv
+    return Counterexample(assignment, lv, rv)
 
 
 def decide_leq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
     """Valid iff lhs <= rhs identically on the unit cube."""
-    verdict = _decide_expanded(terms.expand(lhs), terms.expand(rhs), "leq", budget)
-    if isinstance(verdict, Counterexample):
-        assert not verdict.lhs_value <= verdict.rhs_value
-    return verdict
+    return decide(lhs, rhs, "leq", budget)
 
 
 def decide_eq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
-    """Valid iff lhs = rhs identically on the unit cube; decided as two <= checks
-    over one compilation of each side."""
-    verdict = _decide_expanded(terms.expand(lhs), terms.expand(rhs), "eq", budget)
-    if isinstance(verdict, Counterexample):
-        assert verdict.lhs_value != verdict.rhs_value
-    return verdict
-
-
-def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
-    if relation == "eq":
-        return decide_eq(lhs, rhs, budget)
-    if relation == "leq":
-        return decide_leq(lhs, rhs, budget)
-    raise ValueError(f"unknown relation {relation!r}")
+    """Valid iff lhs = rhs identically on the unit cube."""
+    return decide(lhs, rhs, "eq", budget)
 
 
 #: Samples that ``sample_falsify`` runs together, one column per slot.
@@ -331,7 +319,7 @@ def sample_falsify(
 
     Returns the first failing assignment (deterministic for a given
     seed) or None.  This is an evaluation oracle, independent of the
-    piecewise compilation used by decide_eq/decide_leq.
+    piecewise compilation used by decide.
 
     Both sides are compiled once into one program, run over blocks of
     ``_BLOCK`` samples as ``_Columns``.  The points are drawn sample by

@@ -64,6 +64,9 @@ __all__ = [
 #: trip takes at most about 2 s).
 WORK_BUDGET = 10**7
 
+#: The most entries of a good sequence that ``gamma_of_xi`` enumerates.
+GAMMA_WINDOW = 3
+
 
 class NotGoodSequence(ValueError):
     def __init__(self, index: int):
@@ -299,13 +302,13 @@ class GammaReport:
         return self.bijective and self.preserves_oplus and self.preserves_neg
 
 
-def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
+def gamma_of_xi(carrier: Carrier) -> GammaReport:
     """Round trip through the enveloping group of a finite carrier.
 
-    Enumerates formal differences of short good sequences lying between
-    zero and the unit, groups them into semantic classes, and checks
-    that the embedding a -> [(a)] is a bijection onto those classes
-    carrying oplus to truncated sum and neg to unit-minus.
+    Enumerates formal differences of good sequences of at most
+    ``GAMMA_WINDOW`` entries between zero and the unit, groups them into
+    semantic classes, and checks that the embedding a -> [(a)] is a
+    bijection onto them carrying oplus to truncated sum and neg to unit-minus.
 
     A formal difference is a (pos, neg) pair of index tuples, and each
     monoid sum is computed once per call.  Raises WorkBudgetExceeded,
@@ -315,8 +318,7 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
     """
     elements = carrier.tabulable_size()
     # () and each (a) with a nonzero are good: at least |A| sequences.
-    least = elements if max_len >= 1 else 1
-    check_work(f"gamma_of_xi({carrier.spec})", least**2 * (elements + 1), WORK_BUDGET)
+    check_work(f"gamma_of_xi({carrier.spec})", elements**2 * (elements + 1), WORK_BUDGET)
     K = _Indices(carrier)
     size = range(K.size())
     sums: dict[tuple, tuple] = {}
@@ -339,7 +341,7 @@ def gamma_of_xi(carrier: Carrier, max_len: int = 3) -> GammaReport:
 
     images = [(_trim(K, [a]), ()) for a in size]
     unit, zero = images[K.one()], ((), ())
-    seqs = _good_seqs(K, max_len)
+    seqs = _good_seqs(K, GAMMA_WINDOW)
     # Every pair of sequences is tested against the classes found so far.
     check_work(f"gamma_of_xi({carrier.spec})", len(seqs) ** 2 * (len(size) + 1), WORK_BUDGET)
 
@@ -394,8 +396,9 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
 
     On the chain's indices k is the element k/n, so entry sums are
     numerators over n, compared with cap = floor(bound * n).  Raises
-    WorkBudgetExceeded, before the chain is checked, when the sequence
-    pairs times their squared length pass WORK_BUDGET.
+    WorkBudgetExceeded, before the chain is checked, when the chain check
+    and its three tables (4 (n+1)^2 steps) plus the sequence pairs times
+    their squared length pass WORK_BUDGET (after the table budget).
     """
     if n < 1:
         raise ValueError(f"chain order must be >= 1, got {n}")
@@ -403,10 +406,11 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     cap = bound.numerator * n // bound.denominator
+    chain = FiniteChain(n)
     # cap + 1 sequences of at most ceil(cap / n) entries, summed in pairs.
-    estimate = (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2
+    estimate = 4 * chain.tabulable_size() ** 2 + (cap + 1) ** 2 * (-(-cap // n) + 1) ** 2
     check_work(f"xi_chain_iso({n}, {bound})", estimate, WORK_BUDGET)
-    K = _Indices(FiniteChain(n))
+    K = _Indices(chain)
     # Every entry but the last is the top n, so none is longer than ceil(cap / n).
     seqs = [s for s in _good_seqs(K, -(-cap // n)) if sum(s) <= cap]
     sums = [sum(s) for s in seqs]

@@ -8,12 +8,12 @@ half-spaces are equal (and equally hashed) values, and ``complement``
 gives the exact complement.  ``over_box`` is the one box test, shared
 with the decider.
 
-All systems handled here include the box constraints 0 <= v <= 1 for
-every variable, which keeps every variable bounded on both sides and
-makes the cheap redundancy checks below sound:
+``feasible`` decides a system within the box 0 <= v <= 1: it puts the
+box rows before the given ones, which keeps every variable bounded on
+both sides and makes the cheap redundancy checks below sound:
 
-* a constraint that holds on the whole box is dropped (the box
-  constraints themselves are exempt, since they carry the box);
+* a constraint that holds on the whole box is dropped (the box rows
+  themselves are exempt, since they carry the box);
 * a constraint that fails on the whole box, ground ones included, makes
   the system infeasible immediately;
 * constraints sharing a direction are collapsed to the tightest one,
@@ -35,7 +35,6 @@ from operator import add, mul, neg
 __all__ = [
     "Constraint",
     "BudgetExceeded",
-    "box_constraints",
     "feasible",
 ]
 
@@ -48,8 +47,7 @@ _NEGATIVE = (0).__gt__
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A system that grew past ``CONSTRAINT_CAP``, or pieces past their budget."""
 
 
 def box_range(row) -> tuple[int, int]:
@@ -59,23 +57,23 @@ def box_range(row) -> tuple[int, int]:
     return lo, lo + sum(map(abs, coeffs))
 
 
-class Constraint(namedtuple("Constraint", "row strict names")):
-    """``row . (v, 1) >= 0``, or ``> 0`` when strict, over ``names``; the
-    row is divided by the gcd of its entries on creation."""
+class Constraint(namedtuple("Constraint", "row strict")):
+    """``row . (v, 1) >= 0``, or ``> 0`` when strict; the row is divided
+    by the gcd of its entries on creation, and nowhere else."""
 
     __slots__ = ()
 
-    def __new__(cls, row, strict: bool, names: tuple[str, ...]):
+    def __new__(cls, row, strict: bool):
         row = tuple(row)
         g = math.gcd(*row)
         if g > 1:
             row = tuple(a // g for a in row)
-        return tuple.__new__(cls, (row, strict, names))
+        return tuple.__new__(cls, (row, strict))
 
     def complement(self) -> "Constraint":
         """The constraint that holds exactly where this one fails."""
         # Negation keeps the row divided by its gcd.
-        return tuple.__new__(Constraint, (tuple(map(neg, self.row)), not self.strict, self.names))
+        return tuple.__new__(Constraint, (tuple(map(neg, self.row)), not self.strict))
 
     def over_box(self) -> bool | None:
         """True if this holds on the whole box 0 <= v <= 1, False if it
@@ -88,19 +86,6 @@ class Constraint(namedtuple("Constraint", "row strict names")):
         return None
 
 
-def box_constraints(names) -> list[Constraint]:
-    """0 <= v <= 1 for each variable, over the sorted names."""
-    names = tuple(sorted(names))
-    out = []
-    for i in range(len(names)):
-        unit = [0] * (len(names) + 1)
-        unit[i] = 1
-        out.append(Constraint(unit, False, names))
-        unit[i], unit[-1] = -1, 1
-        out.append(Constraint(unit, False, names))
-    return out
-
-
 class _Infeasible(Exception):
     pass
 
@@ -108,13 +93,12 @@ class _Infeasible(Exception):
 def _prune(constraints) -> list:
     """Drop redundant constraints; raise _Infeasible on a ground or box conflict.
 
-    Works on ``(row, strict, ...)`` tuples with rows divided by their
-    gcd, and keeps per direction the first of the tightest ones, in the
+    Keeps per direction the first of the tightest constraints, in the
     position of the first met.
     """
     best: dict = {}
     for c in constraints:
-        row, strict = c[0], c[1]
+        row, strict = c
         lo, hi = box_range(row)
         if hi < 0 or (hi == 0 and strict):
             raise _Infeasible
@@ -132,33 +116,30 @@ def _prune(constraints) -> list:
             best[direction] = (c, g)
             continue
         kept, kept_g = prev
-        here, there = row[-1] * kept_g, kept[0][-1] * g
-        if here < there or (here == there and strict and not kept[1]):
+        here, there = row[-1] * kept_g, kept.row[-1] * g
+        if here < there or (here == there and strict and not kept.strict):
             best[direction] = (c, g)
     return [c for c, _ in best.values()]
 
 
 def _eliminate(constraints, k: int) -> list:
     """Fourier-Motzkin on column k: each lower bound combined with each
-    upper one as ``-b * row_l + a * row_u``, divided by its gcd."""
+    upper one as ``-b * row_l + a * row_u``."""
     lowers, uppers, rest = [], [], []
     for c in constraints:
-        a = c[0][k]
+        a = c.row[k]
         if a > 0:
-            lowers.append((c[0], c[1]))
+            lowers.append(c)
         elif a < 0:
-            uppers.append((c[0], c[1]))
+            uppers.append(c)
         else:
             rest.append(c)
     combined = rest
     for row_l, strict_l in lowers:
         a = row_l[k]
         for row_u, strict_u in uppers:
-            row = tuple(map(add, map((-row_u[k]).__mul__, row_l), map(a.__mul__, row_u)))
-            g = math.gcd(*row)
-            if g > 1:
-                row = tuple(x // g for x in row)
-            combined.append((row, strict_l or strict_u))
+            row = map(add, map((-row_u[k]).__mul__, row_l), map(a.__mul__, row_u))
+            combined.append(Constraint(row, strict_l or strict_u))
             if len(combined) > CONSTRAINT_CAP:
                 raise BudgetExceeded(
                     f"Fourier-Motzkin grew past {CONSTRAINT_CAP} constraints"
@@ -166,17 +147,19 @@ def _eliminate(constraints, k: int) -> list:
     return combined
 
 
-def feasible(constraints) -> dict[str, Fraction] | None:
-    """Exact feasibility over the rationals; returns a witness point or None.
+def feasible(constraints, names) -> dict[str, Fraction] | None:
+    """Exact feasibility within the box 0 <= v <= 1; returns a witness
+    point or None.
 
-    The constraints share one tuple of names, and must bound every
-    variable both ways (the callers always include box constraints), so
-    back-substitution never meets an unbounded stage.
+    The rows are over ``names``, sorted.  The box rows come first: v >= 0,
+    then 1 - v >= 0, for each variable in order.
     """
-    names = constraints[0].names if constraints else ()
     n = len(names)
+    zero = (0,) * n
+    box = [Constraint((*zero[:i], a, *zero[i + 1 :], c), False)
+           for i in range(n) for a, c in ((1, 0), (-1, 1))]
     try:
-        current = _prune(constraints)
+        current = _prune([*box, *constraints])
         stages = []
         for k in range(n):
             stages.append(current)
@@ -184,32 +167,28 @@ def feasible(constraints) -> dict[str, Fraction] | None:
     except _Infeasible:
         return None
     # All variables eliminated; _prune already validated the ground facts.
+    # Each stage k holds the box rows of v_k, or tighter ones, so its
+    # interval starts as [0, 1].
     values: list = [None] * n
     point: dict[str, Fraction] = {}
     for k in reversed(range(n)):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for row, strict, *_ in stages[k]:
+        lo, hi, lo_strict, hi_strict = Fraction(0), Fraction(1), False, False
+        for row, strict in stages[k]:
             a = row[k]
             if a == 0:
                 continue
             residue = row[-1] + sum(map(mul, row[k + 1 : n], values[k + 1 :]))
             bound = Fraction(-residue) / a
             if a > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
+                if bound > lo or (bound == lo and strict):
                     lo, lo_strict = bound, strict or (bound == lo and lo_strict)
-            else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict or (bound == hi and hi_strict)
-        if lo is None or hi is None:
-            raise AssertionError(f"variable {names[k]} is unbounded; box constraints missing")
-        if lo == hi:
-            if lo_strict or hi_strict:
-                raise AssertionError("empty interval after feasible elimination")
-            values[k] = lo
-        elif lo < hi:
+            elif bound < hi or (bound == hi and strict):
+                hi, hi_strict = bound, strict or (bound == hi and hi_strict)
+        if lo < hi:
             values[k] = (lo + hi) / 2
+        elif lo == hi and not (lo_strict or hi_strict):
+            values[k] = lo
         else:
-            raise AssertionError("inverted interval after feasible elimination")
+            raise AssertionError("empty interval after feasible elimination")
         point[names[k]] = values[k]
     return point

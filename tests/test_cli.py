@@ -414,6 +414,13 @@ def test_unbound_variable_is_a_usage_error(capsys, argv, name):
     assert capsys.readouterr().err == f"error: unbound variable {name!r}\n"
 
 
+@pytest.mark.parametrize("assign", ["x=1/2,x=1/3", "x=1/2, x =1/3", "y=0,x=1/2,x=1/2"])
+def test_repeated_assignment_is_a_usage_error(capsys, assign):
+    code, text = invoke("eval", "x", "--carrier", "q01", "--assign", assign)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: variable 'x' is assigned twice\n"
+
+
 def fresh(*args):
     """Run ``python *args`` in a new interpreter that imports this mvdelta."""
     src = str(Path(mvdelta.__file__).resolve().parent.parent)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from mvdelta.decide import (
     decide_leq,
     sample_falsify,
 )
-from mvdelta.linarith import Constraint, box_constraints, feasible
+from mvdelta.linarith import Constraint, feasible
 from mvdelta.rationals import Q01
 from mvdelta.terms import (
     Const,
@@ -53,59 +55,86 @@ def _ineq(names, coeffs, const, strict=False):
     """coeffs . v + const >= 0 (> 0 if strict) as an integer row over names."""
     values = [Fraction(coeffs.get(v, 0)) for v in names] + [Fraction(const)]
     lcm = math.lcm(*(q.denominator for q in values))
-    return Constraint([int(q * lcm) for q in values], strict, names)
+    return Constraint([int(q * lcm) for q in values], strict)
 
 
-def _value(c, point):
-    """The value of a constraint's row at a point, a positive multiple of
-    the value of the form it was built from."""
-    return c.row[-1] + sum(a * point[v] for v, a in zip(c.names, c.row) if a)
+def _value(c, names, point):
+    """The value of a constraint's row over names at a point, a positive
+    multiple of the value of the form it was built from."""
+    return c.row[-1] + sum(a * point[v] for v, a in zip(names, c.row) if a)
 
 
 def test_feasible_simple_interval():
-    system = box_constraints(["x"]) + [
+    system = [
         _ineq(X, {"x": 1}, Fraction(-1, 3)),  # x >= 1/3
         _ineq(X, {"x": -1}, Fraction(1, 2)),  # x <= 1/2
     ]
-    witness = feasible(system)
+    witness = feasible(system, X)
     assert witness is not None
     assert Fraction(1, 3) <= witness["x"] <= Fraction(1, 2)
 
 
 def test_infeasible_interval():
-    system = box_constraints(["x"]) + [
+    system = [
         _ineq(X, {"x": 1}, Fraction(-2, 3)),
         _ineq(X, {"x": -1}, Fraction(1, 3)),
     ]
-    assert feasible(system) is None
+    assert feasible(system, X) is None
 
 
 def test_strict_boundary():
-    open_sys = box_constraints(["x"]) + [
+    open_sys = [
         _ineq(X, {"x": 1}, Fraction(-1, 2), strict=True),  # x > 1/2
         _ineq(X, {"x": -1}, Fraction(1, 2)),  # x <= 1/2
     ]
-    assert feasible(open_sys) is None
-    closed = box_constraints(["x"]) + [
+    assert feasible(open_sys, X) is None
+    closed = [
         _ineq(X, {"x": 1}, Fraction(-1, 2)),
         _ineq(X, {"x": -1}, Fraction(1, 2)),
     ]
-    assert feasible(closed) == {"x": Fraction(1, 2)}
+    assert feasible(closed, X) == {"x": Fraction(1, 2)}
 
 
 def test_ground_constraints():
-    assert feasible([_ineq((), {}, -1)]) is None
-    assert feasible([_ineq((), {}, 0, strict=True)]) is None
-    assert feasible([_ineq((), {}, 0)]) == {}
+    assert feasible([_ineq((), {}, -1)], ()) is None
+    assert feasible([_ineq((), {}, 0, strict=True)], ()) is None
+    assert feasible([_ineq((), {}, 0)], ()) == {}
+
+
+def test_feasible_adds_the_box():
+    # The box alone: its midpoint, and nothing outside it.
+    assert feasible([], X) == {"x": Fraction(1, 2)}
+    assert feasible([_ineq(X, {"x": 1}, -2)], X) is None
+    assert feasible([_ineq(X, {"x": -1}, -1)], X) is None
+    assert feasible([_ineq(XY, {"x": 1, "y": 1}, -2)], XY) == {"x": 1, "y": 1}
+
+
+def test_constraint_is_a_row_and_a_strictness():
+    assert Constraint._fields == ("row", "strict")
+    assert Constraint((2, -4, 6), True) == ((1, -2, 3), True)
+
+
+def test_decide_leaves_the_box_to_linarith():
+    # linarith.feasible adds 0 <= v <= 1 itself: the decider never builds it.
+    tree = ast.parse(pathlib.Path(decide_module.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    assert "box_constraints" not in named
 
 
 def test_two_variable_witness():
     # x + y > 1 within the box, and y <= 1/4.
-    system = box_constraints(["x", "y"]) + [
+    system = [
         _ineq(XY, {"x": 1, "y": 1}, -1, strict=True),
         _ineq(XY, {"y": -1}, Fraction(1, 4)),
     ]
-    witness = feasible(system)
+    witness = feasible(system, XY)
     assert witness is not None
     assert witness["x"] + witness["y"] > 1
     assert witness["y"] <= Fraction(1, 4)
@@ -114,13 +143,13 @@ def test_two_variable_witness():
 
 def test_scaled_constraints_are_equal():
     # 4x - 2 > 0 and x - 1/2 > 0 are one half-space.
-    a = Constraint((4, -2), True, X)
+    a = Constraint((4, -2), True)
     b = _ineq(X, {"x": 1}, Fraction(-1, 2), strict=True)
     assert a == b and hash(a) == hash(b)
     assert a != _ineq(X, {"x": 1}, Fraction(-1, 2))
     assert a != _ineq(X, {"x": -2}, 1, strict=True)
     c = _ineq(XY, {"x": Fraction(2, 3), "y": Fraction(-4, 9)}, 1)
-    d = Constraint((12, -8, 18), False, XY)
+    d = Constraint((12, -8, 18), False)
     assert c == d and hash(c) == hash(d)
 
 
@@ -134,8 +163,8 @@ def test_complement_is_exact(strict):
     for x in grid:
         for y in grid:
             point = {"x": x, "y": y}
-            boundary += _value(c, point) == 0
-            holds = [_value(d, point) > 0 or (_value(d, point) == 0 and not d.strict)
+            boundary += _value(c, XY, point) == 0
+            holds = [_value(d, XY, point) > 0 or (_value(d, XY, point) == 0 and not d.strict)
                      for d in (c, comp)]
             assert holds.count(True) == 1, point
     assert boundary > 0
@@ -154,15 +183,16 @@ def test_complement_is_exact(strict):
     )
 )
 def test_feasible_witness_satisfies_and_grid_oracle(rows):
-    variables = ["x", "y"]
-    system = box_constraints(variables)
+    system = []
     for cx, cy, c0, strict in rows:
         system.append(_ineq(XY, {"x": cx, "y": cy}, c0, strict))
-    witness = feasible(system)
+    witness = feasible(system, XY)
 
     def satisfied(point):
+        if not all(0 <= point[v] <= 1 for v in XY):
+            return False
         for c in system:
-            v = _value(c, point)
+            v = _value(c, XY, point)
             if v < 0 or (v == 0 and c.strict):
                 return False
         return True
@@ -193,13 +223,13 @@ def test_feasible_matches_the_fraction_engine(case):
     """Integer rows against the Fraction engine they replaced: the same
     feasibility and the identical witness on every system."""
     names, rows = case
-    system = box_constraints(names)
+    system = []
     reference = fraction_box_constraints(names)
     for (*coeffs, const), strict in rows:
         coeffs = dict(zip(names, coeffs))
         system.append(_ineq(names, coeffs, const, strict))
         reference.append(FractionConstraint(AffineForm.make(coeffs, const), strict))
-    witness, expected = feasible(system), feasible_by_fractions(reference)
+    witness, expected = feasible(system, names), feasible_by_fractions(reference)
     assert (witness is None) == (expected is None)
     if witness is not None:
         assert list(witness.items()) == list(expected.items())
@@ -233,9 +263,9 @@ def test_compile_oplus_two_pieces():
     forms = {form for _, form in pieces}
     assert _form(frame, {"x": 1, "y": 1}, 0) in forms
     assert _form(frame, {}, 1) in forms
-    # Guards include the box for both variables.
+    # Each guard splits on x + y; the box is left to linarith.feasible.
     for guard, _ in pieces:
-        constrained = {v for c in guard for v, a in zip(c.names, c.row) if a}
+        constrained = {v for c in guard for v, a in zip(frame[0], c.row) if a}
         assert constrained == {"x", "y"}
 
 
@@ -276,8 +306,8 @@ def test_pieces_cover_and_agree_with_evaluation(salt):
     live = 0
     for guard, form in pieces:
         holds = all(
-            _value(c, frac_point) > 0
-            or (_value(c, frac_point) == 0 and not c.strict)
+            _value(c, frame[0], frac_point) > 0
+            or (_value(c, frame[0], frac_point) == 0 and not c.strict)
             for c in guard
         )
         if holds:
@@ -310,7 +340,7 @@ def test_pieces_partition_the_box(text):
     for guard, _ in pieces:
         guard = set(guard)
         for c in guard:
-            assert Constraint([-a for a in c.row], not c.strict, c.names) not in guard, (text, c)
+            assert Constraint([-a for a in c.row], not c.strict) not in guard, (text, c)
     variables = sorted(free_vars(t))
     grid = [Q01(k, 12) for k in range(13)]
     for point in _points(grid, len(variables)):
@@ -320,8 +350,8 @@ def test_pieces_partition_the_box(text):
             form
             for guard, form in pieces
             if all(
-                _value(c, frac_point) > 0
-                or (_value(c, frac_point) == 0 and not c.strict)
+                _value(c, frame[0], frac_point) > 0
+                or (_value(c, frame[0], frac_point) == 0 and not c.strict)
                 for c in guard
             )
         ]
@@ -381,7 +411,7 @@ def test_constant_nonpositive_differences_need_no_feasibility_call(monkeypatch):
     # Every piece pair of oplus(x, y) against oplus(y, x) differs by a
     # constant <= 0 or has an empty merged guard.
     calls = []
-    monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(system))
+    monkeypatch.setattr(linarith, "feasible", lambda system, names: calls.append(system))
     assert isinstance(decide_eq(parse("oplus(x, y)"), parse("oplus(y, x)")), Valid)
     assert calls == []
 
@@ -389,7 +419,7 @@ def test_constant_nonpositive_differences_need_no_feasibility_call(monkeypatch):
 def test_nfold_comparison_needs_no_feasibility_call(monkeypatch):
     # Each difference x - k*x or x - 1 fails on the whole box.
     calls = []
-    monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(system))
+    monkeypatch.setattr(linarith, "feasible", lambda system, names: calls.append(system))
     assert isinstance(decide_leq(parse("x"), parse("nfold(16, x)")), Valid)
     assert calls == []
 
@@ -437,7 +467,7 @@ def test_corpus_feasibility_call_counts(monkeypatch):
     # settled without Fourier-Motzkin.
     calls = []
     real = linarith.feasible
-    monkeypatch.setattr(linarith, "feasible", lambda system: calls.append(1) or real(system))
+    monkeypatch.setattr(linarith, "feasible", lambda system, names: calls.append(1) or real(system, names))
     for law in corpus.decision_corpus():
         assert isinstance(decide(law.lhs, law.rhs, law.relation), Valid), law.name
     assert len(calls) <= 15

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvdelta import goodseq
 from mvdelta.carriers import CHANG, CarrierMismatch, FiniteChain, ProductAlg
 from mvdelta.goodseq import (
     GoodSeq,
@@ -214,6 +215,18 @@ def test_gamma_of_xi_refuses_a_long_chain_before_tabulating():
     with pytest.raises(WorkBudgetExceeded, match=r"needs about 1\.00e\+9 steps"):
         gamma_of_xi(chain)
     assert "chain_factors" not in vars(chain)
+
+
+def test_xi_chain_iso_counts_its_tables_before_building_them(monkeypatch):
+    # At bound 0 the pair loop is one step; the (n+1)^2 chain check and
+    # tables are not, and are refused before any oplus is called.
+    def refuse(self, x, y):
+        raise AssertionError("oplus called before the work estimate")
+
+    monkeypatch.setattr(goodseq, "WORK_BUDGET", 10**6)
+    monkeypatch.setattr(FiniteChain, "oplus", refuse)
+    with pytest.raises(WorkBudgetExceeded, match=r"xi_chain_iso\(1000, 0\) needs about 4\.01e\+6 steps"):
+        xi_chain_iso(1000, 0)
 
 
 @pytest.mark.parametrize("carrier", GAMMA_GRID, ids=lambda c: c.spec)
