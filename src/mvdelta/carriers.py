@@ -3,12 +3,14 @@
 A *carrier* bundles an element domain with the MV operations; the term
 evaluator and every higher-level routine talk to carriers through the
 small interface of :class:`Carrier` (zero, oplus, neg, equality, order,
-optional constants and eventually-constant delta).  The derived
+optional constants and the midpoint (x + y)/2).  The derived
 connectives odot, ominus, dist, join, meet and nfold are defined once
 for the whole package, on :class:`Carrier`, from oplus and neg (nfold by
-binary doubling).  The n-fold halving ``halve_n`` is one delta call, or
-a closed form: ``x / 2^n`` on the unit interval, factor by factor on
-products, a scaling on the piecewise-linear functions.
+binary doubling), and so is the eventually constant delta, from the
+midpoint: delta(p1, ..., pk; c) = midpoint(p1, delta(p2, ..., pk; c)),
+folded in from the tail.  The n-fold halving ``halve_n`` is one delta
+call, or a closed form: ``x / 2^n`` on the unit interval, factor by
+factor on products, a scaling on the piecewise-linear functions.
 
 Provided here: the unit interval of exact rationals, finite Lukasiewicz
 chains ``{0, 1/n, ..., 1}``, finite direct products, and Chang's
@@ -117,9 +119,10 @@ class TableBudgetExceeded(OverBudget, CarrierError):
 class Carrier(ABC):
     """Abstract MV-algebra carrier.
 
-    Subclasses implement zero/oplus/neg and may override const, delta,
-    leq, and the finite-enumeration hooks.  The derived connectives are
-    defined once here from oplus and neg.
+    Subclasses implement zero/oplus/neg and may override const,
+    midpoint, leq, and the finite-enumeration hooks.  The derived
+    connectives are defined once here from oplus and neg, and delta from
+    midpoint; a carrier without a midpoint refuses every delta.
     """
 
     @property
@@ -152,8 +155,16 @@ class Carrier(ABC):
     def const(self, q: Q01):
         raise ConstUnsupported(f"carrier {self.spec} has no element for constant {q}")
 
-    def delta(self, prefix, tail):
+    def midpoint(self, x, y):
+        """(x + y) / 2, which never truncates: the one step of delta."""
         raise DeltaUnsupported(f"carrier {self.spec} does not support delta")
+
+    def delta(self, prefix, tail):
+        """The midpoints folded in from the tail; delta(; c) is midpoint(c, c)."""
+        acc = tail if prefix else self.midpoint(tail, tail)
+        for p in reversed(prefix):
+            acc = self.midpoint(p, acc)
+        return acc
 
     # Derived connectives.
 
@@ -258,14 +269,8 @@ class UnitInterval(Carrier):
     def const(self, q: Q01) -> Q01:
         return q
 
-    def delta(self, prefix, tail) -> Q01:
-        total = Fraction(0)
-        weight = Fraction(1)
-        for p in prefix:
-            weight /= 2
-            total += p * weight
-        total += tail * weight
-        return Q01(total)
+    def midpoint(self, x: Q01, y: Q01) -> Q01:
+        return Q01((x + y) / 2)
 
     def halve_n(self, n: int, x: Q01) -> Q01:
         return Q01(x / 2**n)
@@ -382,13 +387,9 @@ class ProductAlg(Carrier):
     def const(self, q: Q01) -> tuple:
         return tuple(f.const(q) for f in self.factors)
 
-    def delta(self, prefix, tail) -> tuple:
-        for p in prefix:
-            self._check(p)
-        self._check(tail)
-        return tuple(
-            f.delta([p[i] for p in prefix], tail[i]) for i, f in enumerate(self.factors)
-        )
+    def midpoint(self, x, y) -> tuple:
+        self._check(x), self._check(y)
+        return tuple(f.midpoint(a, b) for f, a, b in zip(self.factors, x, y))
 
     def halve_n(self, n: int, x) -> tuple:
         self._check(x)

@@ -8,12 +8,14 @@ insert the crossing points they create.
 A function is one positive integer ``den`` and two integer tuples ``xs``
 and ``ys``, breakpoint i being ``(xs[i]/den, ys[i]/den)``: canonical (no
 collinear interior point) and reduced by ``gcd(den, *xs, *ys)``, so
-structural equality is function equality.  An operation merges its
-operands' integer breakpoints in one sweep, keeps a divisor per
-interpolated value or inserted crossing, and takes one lcm at the end;
-its result is not validated again.  ``Fraction`` appears only at the
-boundary: ``PLFunc(points)`` (validated), JSON, ``points``, ``eval_at``,
-``max_value``, ``uniform_dist`` and printing.
+structural equality is function equality.  A binary operation merges
+its operands' integer breakpoints in one two-pointer sweep, with a
+divisor of one segment width per interpolated value (at most one operand
+is interpolated at a point) or inserted crossing, and one lcm at the
+end; its result is not validated again.  Delta folds the midpoint
+(f + g)/2, one sweep per prefix function.  ``Fraction`` appears only at
+the boundary: ``PLFunc(points)`` (validated), JSON, ``points``,
+``eval_at``, ``max_value``, ``uniform_dist`` and printing.
 
 The file format for a function is a JSON array of ``[x, y]`` rational
 string pairs, e.g. ``[["0","0"],["1/2","1"],["1","1"]]``.
@@ -187,28 +189,34 @@ def _finish(points) -> PLFunc:
     return _reduce(den, [x * (den // q) for x, _, q in points], [y * (den // q) for _, y, q in points])
 
 
-def _sweep(fns, weights):
-    """sum(w_i * f_i) at the merged breakpoints: L, the merged xs over L and,
-    for each, the value ``nums[p] / (divs[p] * L)``.  One pointer per
-    function; a function is interpolated between its own breakpoints."""
-    L = math.lcm(*(f.den for f in fns))
-    scaled = []
-    for f in fns:
-        s = L // f.den
-        scaled.append((f.xs, f.ys) if s == 1 else ([x * s for x in f.xs], [y * s for y in f.ys]))
-    grid = sorted(set().union(*(xs for xs, _ in scaled)))
-    nums, divs = [0] * len(grid), [1] * len(grid)
-    for (xs, ys), w in zip(scaled, weights):
-        j = 0
-        for p, x in enumerate(grid):
-            if x == xs[j]:
-                nums[p] += w * ys[j] * divs[p]
-                j += 1
-            else:
-                x0, x1 = xs[j - 1], xs[j]
-                nums[p] = nums[p] * (x1 - x0) + w * (ys[j - 1] * (x1 - x) + ys[j] * (x - x0)) * divs[p]
-                divs[p] *= x1 - x0
-    return L, grid, nums, divs
+def _sweep(f, g, sign):
+    """f + sign * g at the merged breakpoints, in one two-pointer pass:
+    the common denominator L and, per merged x (over L), ``(x, n, d)`` for
+    the value ``n / (d * L)``.  At most one of the two is interpolated at
+    any merged x, so d is 1 or that one's segment width."""
+    L = math.lcm(f.den, g.den)
+    s, t = L // f.den, L // g.den
+    fx, fy = (f.xs, f.ys) if s == 1 else ([x * s for x in f.xs], [y * s for y in f.ys])
+    gx, gy = (g.xs, g.ys) if t == 1 else ([x * t for x in g.xs], [y * t for y in g.ys])
+    if sign < 0:
+        gy = [-y for y in gy]
+    out, i, j, last = [], 0, 0, len(fx) - 1
+    while True:  # both lists end at L, so they run out together
+        a, b = fx[i], gx[j]
+        if a == b:
+            out.append((a, fy[i] + gy[j], 1))
+            if i == last:
+                return L, out
+            i += 1
+            j += 1
+        elif a < b:
+            x0 = gx[j - 1]
+            out.append((a, fy[i] * (b - x0) + gy[j - 1] * (b - a) + gy[j] * (a - x0), b - x0))
+            i += 1
+        else:
+            x0 = fx[i - 1]
+            out.append((b, fy[i - 1] * (a - b) + fy[i] * (b - x0) + gy[j] * (a - x0), a - x0))
+            j += 1
 
 
 def _clip(points) -> list:
@@ -247,22 +255,8 @@ def pl_neg(f: PLFunc) -> PLFunc:
 
 
 def pl_oplus(f: PLFunc, g: PLFunc) -> PLFunc:
-    L, grid, nums, divs = _sweep((f, g), (1, 1))
-    return _finish(_clip([(x * d, y, d * L) for x, y, d in zip(grid, nums, divs)]))
-
-
-def pl_delta(prefix, tail: PLFunc) -> PLFunc:
-    """Exact sum(prefix_i / 2^i) + tail / 2^k; never reaches the threshold."""
-    k = len(prefix)
-    weights = [1 << (k - i) for i in range(1, k + 1)] + [1]
-    L, grid, nums, divs = _sweep((*prefix, tail), weights)
-    points = []
-    for x, y, d in zip(grid, nums, divs):
-        q = (d * L) << k
-        if y < 0 or y > q:
-            raise AssertionError("delta combination left the unit interval")
-        points.append((x * d << k, y, q))
-    return _finish(points)
+    L, points = _sweep(f, g, 1)
+    return _finish(_clip([(x * d, y, d * L) for x, y, d in points]))
 
 
 def pl_scale(r: Q01, f: PLFunc) -> PLFunc:
@@ -305,9 +299,9 @@ def pl_precompose(f: PLFunc, phi: PLFunc) -> PLFunc:
 
 def uniform_dist(f: PLFunc, g: PLFunc) -> Q01:
     """Exact sup |f - g|; attained at a common-refinement breakpoint."""
-    L, _, nums, divs = _sweep((f, g), (1, -1))
+    L, points = _sweep(f, g, -1)
     best, div = 0, 1
-    for n, d in zip(nums, divs):
+    for _, n, d in points:
         if abs(n) * div > best * d:
             best, div = abs(n), d
     return Q01(best, div * L)
@@ -315,7 +309,7 @@ def uniform_dist(f: PLFunc, g: PLFunc) -> Q01:
 
 def pl_leq(f: PLFunc, g: PLFunc) -> bool:
     """Pointwise order; decided at the common-refinement breakpoints."""
-    return all(n >= 0 for n in _sweep((g, f), (1, -1))[2])
+    return all(n >= 0 for _, n, _ in _sweep(g, f, -1)[1])
 
 
 # --- approximation and reconstruction ---------------------------------------
@@ -342,17 +336,18 @@ def increasing_approx(target: PLFunc, depth: int) -> list[PLFunc]:
     return out
 
 
-#: Largest estimated work of one reconstruction, in sweep steps (0.3 to
-#: 2.6 ns each on a 2-vCPU VM; the largest admitted runs take 0.2 to 1 s).
-ISBELL_WORK_BUDGET = 10**9
+#: Largest estimated work of one reconstruction, in steps of 0.02 to 0.7
+#: ns each at depths 300 and over on a 2-vCPU VM; the largest admitted
+#: runs (tent at depth 1157, identity at 1329) take 0.4 to 0.9 s.
+ISBELL_WORK_BUDGET = 5 * 10**9
 
 
 def check_isbell_work(target: PLFunc, depth: int) -> None:
-    """Refuse, before any stage is built, a reconstruction whose delta sum
-    sweeps depth + 1 increments over up to b + depth (b - 1) points (a zero
-    crossing per stage and segment), on ints growing with depth and den."""
+    """Refuse, before any stage is built, a reconstruction of depth + 1
+    stages, each a few two-function merges over O(b) points on ints of
+    about depth + bits(den) bits, whose products and gcds cost bits^2."""
     b, n = len(target.xs), max(depth, 0)
-    estimate = (n + 1) * (b + n * (b - 1)) * (n + target.den.bit_length() + 40) ** 2
+    estimate = (n + 1) * b * (n + target.den.bit_length() + 40) ** 2
     check_work(f"isbell at depth {depth} on {b} breakpoints", estimate, ISBELL_WORK_BUDGET)
 
 
@@ -519,8 +514,9 @@ class PLCarrier(Carrier):
     def const(self, q: Q01) -> PLFunc:
         return pl_const(q)
 
-    def delta(self, prefix, tail: PLFunc) -> PLFunc:
-        return pl_delta(prefix, tail)
+    def midpoint(self, x: PLFunc, y: PLFunc) -> PLFunc:
+        L, points = _sweep(x, y, 1)
+        return _finish([(X * d << 1, n, d * L << 1) for X, n, d in points])
 
     def halve_n(self, n: int, x: PLFunc) -> PLFunc:
         return pl_scale(Q01(1, 2**n), x)
@@ -546,3 +542,4 @@ pl_dist = PL_CARRIER.dist
 pl_join = PL_CARRIER.join
 pl_meet = PL_CARRIER.meet
 pl_nfold = PL_CARRIER.nfold
+pl_delta = PL_CARRIER.delta

@@ -281,6 +281,13 @@ def test_product_delta_over_unit_interval_factors():
     p = ProductAlg((Q01_CARRIER, Q01_CARRIER))
     out = p.delta([(Q01(1), Q01(0))], (Q01(0), Q01(1)))
     assert out == (Q01(1, 2), Q01(1, 2))
+    # With a function factor, each component is that factor's own delta.
+    p = ProductAlg((Q01_CARRIER, PL_CARRIER))
+    rng = random.Random(3)
+    qs = [Q01(1, 3), Q01(1), Q01(0), Q01(5, 7)]
+    fs = [random_plfunc(rng, depth=3) for _ in qs]
+    out = p.delta(list(zip(qs[:-1], fs[:-1])), (qs[-1], fs[-1]))
+    assert out == (Q01_CARRIER.delta(qs[:-1], qs[-1]), PL_CARRIER.delta(fs[:-1], fs[-1]))
 
 
 def test_delta_unsupported_on_chains_and_chang():
@@ -292,6 +299,11 @@ def test_delta_unsupported_on_chains_and_chang():
         CHANG.delta([ChangElem(0, 1)], ChangElem(0, 0))
     with pytest.raises(DeltaUnsupported):
         ProductAlg((FiniteChain(2), FiniteChain(2))).delta([(1, 1)], (0, 0))
+    # An empty prefix is midpoint(c, c), refused as well.
+    with pytest.raises(DeltaUnsupported):
+        FiniteChain(2).delta([], 1)
+    with pytest.raises(DeltaUnsupported):
+        CHANG.delta([], ChangElem(0, 1))
 
 
 def test_ideal_enumeration_requires_finite():

@@ -122,9 +122,14 @@ def test_eval_pl_literal_uses_rational_syntax():
     assert code == 2 and text == ""
 
 
-def test_eval_unsupported_delta_is_an_error():
+def test_eval_unsupported_delta_is_an_error(capsys):
     code, _ = invoke("eval", "half(x)", "--carrier", "chain:2", "--assign", "x=1/2")
     assert code == 2
+    capsys.readouterr()
+    # delta(; x) is midpoint(x, x), which a chain refuses like any delta.
+    code, text = invoke("eval", "delta(; x)", "--carrier", "chain:2", "--assign", "x=1/2")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: carrier chain:2 does not support delta\n"
 
 
 def test_axioms_subcommand():
@@ -482,9 +487,9 @@ def test_a_subcommand_loads_only_what_it_runs(argv, output, unloaded):
         (("spectrum", "--algebra", "chain:2000"),
          "table budget exceeded: chain:2000 has 2001 elements, over the limit of 1024 "
          "(1048576 table entries)"),
-        (("isbell", "--target", "{tmp}/tent.json", "--depth", "1000", "--out", "{tmp}/out.json"),
-         "work budget exceeded: isbell at depth 1000 on 3 breakpoints needs about 2.18e+12 steps, "
-         "over the limit of 1000000000"),
+        (("isbell", "--target", "{tmp}/tent.json", "--depth", "2000", "--out", "{tmp}/out.json"),
+         "work budget exceeded: isbell at depth 2000 on 3 breakpoints needs about 2.50e+10 steps, "
+         "over the limit of 5000000000"),
     ],
     ids=["gammaxi", "spectrum", "isbell"],
 )
@@ -496,7 +501,7 @@ def test_budgets_exit_3_in_a_fresh_process(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
-    "depth, estimate", [(130, "1.02e+9"), (100000, "2.00e+20")], ids=["just_over", "huge"]
+    "depth, estimate", [(1158, "5.01e+9"), (100000, "3.00e+15")], ids=["just_over", "huge"]
 )
 def test_oversize_isbell_exits_on_the_work_budget(capsys, tmp_path, depth, estimate):
     target, out = str(tmp_path / "tent.json"), str(tmp_path / "out.json")
@@ -507,7 +512,7 @@ def test_oversize_isbell_exits_on_the_work_budget(capsys, tmp_path, depth, estim
     assert code == 3 and text == ""
     assert capsys.readouterr().err == (
         f"error: work budget exceeded: isbell at depth {depth} on 3 breakpoints needs about "
-        f"{estimate} steps, over the limit of 1000000000\n"
+        f"{estimate} steps, over the limit of 5000000000\n"
     )
 
 

@@ -416,6 +416,18 @@ def test_integer_breakpoints_agree_with_fraction_oracle(f, g, phi, prefix, r, n,
         assert _outcome(lambda: _points(isbell_reconstruct(seq))) == want
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 20, 40])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_long_delta_prefixes_agree_with_fraction_oracle(k, data):
+    # One midpoint per prefix function, folded in from the tail, against
+    # the weighted sum of all of them in one Fraction pass.
+    prefix = data.draw(st.lists(_functions(), min_size=k, max_size=k))
+    tail = data.draw(_functions())
+    want = oracles.pl_delta_by_fractions([p.points for p in prefix], tail.points)
+    assert _points(pl_delta(prefix, tail)) == want
+
+
 def test_operations_skip_the_validating_constructor(monkeypatch):
     rng = random.Random(5)
     f, g, h = (random_plfunc(rng, depth=5) for _ in range(3))
