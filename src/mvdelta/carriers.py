@@ -308,8 +308,12 @@ class FiniteChain(Carrier):
         return 0
 
     def oplus(self, x: int, y: int) -> int:
+        n = self.n
+        # Exact ints in range need no _check; anything else gets its error.
+        if type(x) is int and type(y) is int and 0 <= x <= n and 0 <= y <= n:
+            return x + y if x + y < n else n
         self._check(x), self._check(y)
-        return min(x + y, self.n)
+        return min(x + y, n)
 
     def neg(self, x: int) -> int:
         self._check(x)

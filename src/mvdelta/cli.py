@@ -348,7 +348,7 @@ def _parser():
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gammaxi", help="good-sequence round trips for a chain")
-    p.add_argument("--chain", type=_int_at_least(), required=True)
+    p.add_argument("--chain", type=_int_at_least(1), required=True)
     p.add_argument("--bound", type=_int_at_least(0), required=True)
 
     p = sub.add_parser("isbell", help="reconstruct half of a target function")

@@ -10,14 +10,15 @@ mechanics: the monoid operations, formal differences with cross-sum
 equality, the embedding ``a -> [(a)]``, and two exhaustive round-trip
 verifications for finite carriers.
 
-The round trips run on the indices of a finite carrier's elements: a
-good sequence is a tuple of indices, oplus and the order are the tables
-of ``carriers.index_tables``, neg complements an index, odot is one
-table built from neg and oplus, and each monoid sum is computed and
-checked once per call.  The convolution formula and the goodness test
-are written once, for any carrier, and serve elements and indices
-alike.  Both round trips estimate their work from the sizes before
-their pair loops and refuse it past ``WORK_BUDGET``.
+The element-level operations (``gs_*``, ``xi_*``) run the convolution
+and the goodness test on the carrier's own operations; the round trips
+run ``_Indices``, a separate kernel that the tests check against them,
+on the indices of a finite carrier's elements: a good sequence is a
+tuple of indices, oplus and the order are rows of
+``carriers.index_tables``, neg complements an index, odot is one table
+built from neg and oplus, and each monoid sum is computed and checked
+once per call.  Both round trips estimate their work from the sizes
+before their pair loops and refuse it past ``WORK_BUDGET``.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def _same_carrier(a: GoodSeq, b: GoodSeq) -> Carrier:
 
 def _sum(K: Carrier, a: tuple, b: tuple) -> tuple:
     """Monoid sum c_i = a_i + (a_{i-1} . b_1) + ... + (a_1 . b_{i-1}) + b_i,
-    written with oplus for + and odot for dots, of two entry tuples over K
-    (a carrier, or the indices of one); the result is checked good."""
+    written with oplus for + and odot for dots, of two entry tuples over the
+    carrier K; the result is checked good."""
     zero = K.zero()
     a, b = (*a, *[zero] * len(b)), (*b, *[zero] * len(a))
     oplus, odot = K.oplus, K.odot
@@ -234,46 +235,64 @@ def xi_meet(x: XiElem, y: XiElem) -> XiElem:
     )
 
 
-class _Indices(Carrier):
-    """A finite carrier on the indices 0..|A|-1 of ``chain_factors.elements``:
-    zero is 0, neg i is |A| - 1 - i (each mixed-radix digit complemented),
-    oplus, leq and odot (neg(oplus(neg i, neg j))) are table lookups."""
-
-    spec = "indices"
+class _Indices:
+    """The round trips' kernel for a finite carrier, on the indices 0..|A|-1
+    of ``chain_factors.elements``: zero is 0, ``neg[i]`` is |A| - 1 - i
+    (each mixed-radix digit complemented), and ``oplus``, ``odot``
+    (neg(oplus(neg i, neg j))) and ``order`` (i <= j) are rows of tables.
+    A good sequence is a tuple of indices; ``sum`` and ``meet`` check
+    goodness and trim, as ``_sum`` and ``_pointwise`` do on elements."""
 
     def __init__(self, carrier: Carrier):
-        oplus, leq = index_tables(carrier)
+        oplus, self.order = index_tables(carrier)
         neg = list(range(len(oplus) - 1, -1, -1))
-        self._oplus, self._neg, self._leq = oplus, neg, leq
-        self._odot = [[neg[s] for s in map(oplus[a].__getitem__, neg)] for a in neg]
+        self.oplus, self.neg = oplus, neg
+        self.odot = [[neg[s] for s in map(oplus[a].__getitem__, neg)] for a in neg]
 
-    def zero(self) -> int:
-        return 0
+    def _checked(self, out: list, what: str) -> tuple:
+        oplus = self.oplus
+        for i in range(len(out) - 1):
+            if oplus[out[i]][out[i + 1]] != out[i]:
+                raise AssertionError(f"{what} at index {i}")
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
-    def oplus(self, i: int, j: int) -> int:
-        return self._oplus[i][j]
+    def sum(self, a: tuple, b: tuple) -> tuple:
+        """The monoid sum of ``_sum``, one table row lookup per term."""
+        oplus, odot = self.oplus, self.odot
+        a, b = (*a, *[0] * len(b)), (*b, *[0] * len(a))
+        out = []
+        for i in range(len(a)):
+            acc = oplus[a[i]][b[i]]
+            for j in range(i):
+                acc = oplus[acc][odot[a[i - j - 1]][b[j]]]
+            out.append(acc)
+        return self._checked(out, "monoid sum produced a non-good sequence")
 
-    def neg(self, i: int) -> int:
-        return self._neg[i]
+    def leq(self, a: tuple, b: tuple) -> bool:
+        order = self.order
+        for x, y in zip_longest(a, b, fillvalue=0):
+            if not order[x][y]:
+                return False
+        return True
 
-    def odot(self, i: int, j: int) -> int:
-        return self._odot[i][j]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
-
-    def size(self) -> int:
-        return len(self._neg)
+    def meet(self, a: tuple, b: tuple) -> tuple:
+        """Entrywise neg(join(neg x, neg y)), the meet of ``Carrier.meet``."""
+        oplus, neg = self.oplus, self.neg
+        out = [neg[oplus[neg[oplus[x][neg[y]]]][neg[y]]] for x, y in zip_longest(a, b, fillvalue=0)]
+        return self._checked(out, "pointwise lattice operation broke goodness")
 
 
 def _good_seqs(K: _Indices, max_len: int) -> list[tuple]:
     """All good index sequences of length <= max_len, built by extending
     shorter ones; trailing zeros are never appended (after a zero entry,
     goodness forces zeros forever), so each comes once in trimmed form."""
-    nonzero = [e for e in range(K.size()) if e != K.zero()]
+    oplus, nonzero = K.oplus, range(1, len(K.oplus))
     out, frontier = [()], [()]
     for _ in range(max_len):
-        frontier = [s + (e,) for s in frontier for e in nonzero if is_good(K, s[-1:] + (e,))[0]]
+        frontier = [s + (e,) for s in frontier for e in nonzero
+                    if not s or oplus[s[-1]][e] == s[-1]]
         out += frontier
     return out
 
@@ -320,39 +339,41 @@ def gamma_of_xi(carrier: Carrier) -> GammaReport:
     # () and each (a) with a nonzero are good: at least |A| sequences.
     check_work(f"gamma_of_xi({carrier.spec})", elements**2 * (elements + 1), WORK_BUDGET)
     K = _Indices(carrier)
-    size = range(K.size())
+    size = range(len(K.neg))
     sums: dict[tuple, tuple] = {}
 
     def add(a: tuple, b: tuple) -> tuple:
         s = sums.get((a, b))
         if s is None:
-            s = sums[a, b] = _sum(K, a, b)
+            s = sums[a, b] = K.sum(a, b)
         return s
 
-    # xi_eq, xi_leq and xi_meet on (pos, neg) pairs.
+    # xi_eq and xi_meet on (pos, neg) pairs.
     def eq(x, y) -> bool:
         return add(x[0], y[1]) == add(y[0], x[1])
 
-    def leq(x, y) -> bool:
-        return _leq(K, add(x[0], y[1]), add(y[0], x[1]))
-
     def meet(x, y):
-        return _pointwise(K, add(x[0], y[1]), add(y[0], x[1]), K.meet), add(x[1], y[1])
+        return K.meet(add(x[0], y[1]), add(y[0], x[1])), add(x[1], y[1])
 
-    images = [(_trim(K, [a]), ()) for a in size]
-    unit, zero = images[K.one()], ((), ())
+    images = [((a,) if a else (), ()) for a in size]
+    unit = images[-1]
     seqs = _good_seqs(K, GAMMA_WINDOW)
     # Every pair of sequences is tested against the classes found so far.
     check_work(f"gamma_of_xi({carrier.spec})", len(seqs) ** 2 * (len(size) + 1), WORK_BUDGET)
 
+    # x = (pos, neg) lies between zero and the unit iff () + neg <= pos + ()
+    # and pos + () <= unit + neg (xi_leq), sums taken once per sequence.
+    bounds = [(add((), s), add(s, ()), add(unit[0], s)) for s in seqs]
     classes: list[tuple] = []
-    for pos in seqs:
-        for neg in seqs:
-            x = (pos, neg)
-            if not (leq(zero, x) and leq(x, unit)):
+    for pos, (_, pos_plus, _) in zip(seqs, bounds):
+        for neg, (plus_neg, _, unit_plus_neg) in zip(seqs, bounds):
+            if not (K.leq(plus_neg, pos_plus) and K.leq(pos_plus, unit_plus_neg)):
                 continue
-            if not any(eq(x, c) for c in classes):
-                classes.append(x)
+            for c_pos, c_neg in classes:  # eq((pos, neg), c)
+                if add(pos, c_neg) == add(c_pos, neg):
+                    break
+            else:
+                classes.append((pos, neg))
 
     injective = all(not eq(images[i], images[j]) for i in size for j in range(i + 1, len(size)))
     surjective = all(any(eq(c, img) for img in images) for c in classes)
@@ -362,10 +383,10 @@ def gamma_of_xi(carrier: Carrier) -> GammaReport:
         return meet((add(x[0], y[0]), add(x[1], y[1])), unit)
 
     preserves_oplus = all(
-        eq(images[K.oplus(a, b)], truncated_sum(images[a], images[b])) for a in size for b in size
+        eq(images[K.oplus[a][b]], truncated_sum(images[a], images[b])) for a in size for b in size
     )
     preserves_neg = all(  # images[neg a] against xi_sub(unit, images[a])
-        eq(images[K.neg(a)], (add(unit[0], x[1]), add(unit[1], x[0])))
+        eq(images[K.neg[a]], (add(unit[0], x[1]), add(unit[1], x[0])))
         for a, x in enumerate(images)
     )
     return GammaReport(
@@ -419,6 +440,6 @@ def xi_chain_iso(n: int, bound) -> ChainIsoReport:
     additive = True
     for a, sa in zip(seqs, sums):
         for b, sb in zip(seqs, sums):
-            if sa + sb <= cap and sum(_sum(K, a, b)) != sa + sb:
+            if sa + sb <= cap and sum(K.sum(a, b)) != sa + sb:
                 additive = False
     return ChainIsoReport(n, bound, len(seqs), sums_bijective, additive)

@@ -1,4 +1,6 @@
 import random
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from mvdelta.carriers import (
     FiniteChain,
     ProductAlg,
     TableBudgetExceeded,
+    _check_chain,
     carrier_from_spec,
     enumerate_ideals,
     halving_witness,
@@ -30,7 +33,9 @@ from mvdelta.goodseq import _Indices
 from mvdelta.plfunc import PL_CARRIER, pl_identity, random_plfunc
 from mvdelta.rationals import Q01
 from mvdelta.terms import evaluate, free_vars
-from oracles import brute_force_ideals, halve_n_by_loop, nfold_by_loop, tables_by_operations
+from oracles import (
+    WrongSum, brute_force_ideals, halve_n_by_loop, nfold_by_loop, tables_by_operations
+)
 
 # Every product of chains with at most 8 elements, up to the trivial chain.
 SMALL_FINITE_SPECS = [f"chain:{n}" for n in range(1, 8)] + [
@@ -63,6 +68,32 @@ def test_trivial_chain():
     assert triv.one() == 0 == triv.zero()
     assert triv.const(Q01(1, 3)) == 0
     assert radical(triv).elements == frozenset({0})
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), -1, 4], ids=repr)
+def test_chain_oplus_refuses_a_non_element_in_either_argument(bad):
+    # Exact ints in range take a fast path; every other input is checked.
+    chain = FiniteChain(3)
+    for x, y in ((bad, 1), (1, bad)):
+        with pytest.raises(CarrierMismatch) as err:
+            chain.oplus(x, y)
+        assert str(err.value) == f"{bad!r} is not an element of chain:3"
+
+
+def test_chain_oplus_takes_an_int_subclass_member_in_range():
+    class Level(IntEnum):
+        LOW = 1
+        HIGH = 3
+
+    chain = FiniteChain(3)
+    assert chain.oplus(Level.LOW, 1) == 2 == chain.oplus(1, Level.LOW)
+    assert chain.oplus(Level.HIGH, Level.LOW) == 3
+    assert type(chain.oplus(Level.LOW, Level.LOW)) is int
+
+
+def test_chain_check_calls_the_chains_own_oplus():
+    with pytest.raises(AssertionError, match="homomorphism check on chain:3"):
+        _check_chain(WrongSum(3, 1, 1, 3))
 
 
 def test_chang_operations():
@@ -395,8 +426,8 @@ def test_tables_agree_with_the_operations(spec):
     K = _Indices(carrier)
     got = {
         "elements": carrier.chain_factors.elements,
-        "zero": K.zero(),
-        "neg": list(map(K.neg, range(K.size()))),
+        "zero": 0,
+        "neg": K.neg,
         "oplus": oplus,
         "leq": leq,
     }

@@ -405,6 +405,20 @@ def test_gammaxi_rejects_negative_bound():
     assert code == 2 and text == ""
 
 
+@pytest.mark.parametrize("chain", ["0", "-2"])
+def test_gammaxi_rejects_a_chain_below_one_before_any_round_trip(capsys, monkeypatch, chain):
+    from mvdelta import goodseq
+
+    def refuse(*args):
+        raise AssertionError("round trip run on an invalid chain")
+
+    monkeypatch.setattr(goodseq, "gamma_of_xi", refuse)
+    monkeypatch.setattr(goodseq, "xi_chain_iso", refuse)
+    code, text = invoke("gammaxi", "--chain", chain, "--bound", "1")
+    assert code == 2 and text == ""
+    assert f"argument --chain: must be >= 1, got {chain}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

@@ -10,6 +10,9 @@ from mvdelta.goodseq import (
     WorkBudgetExceeded,
     _Indices,
     _good_seqs,
+    _leq,
+    _pointwise,
+    _sum,
     NotGoodSequence,
     enumerate_good_seqs,
     gamma_of_xi,
@@ -208,6 +211,35 @@ def test_good_seqs_number_at_least_the_elements(carrier):
     # gamma_of_xi's lower bound: () and the one-entry sequences are |A|.
     K = _Indices(carrier)
     assert len(_good_seqs(K, 1)) == carrier.size() <= len(_good_seqs(K, 3))
+
+
+@pytest.mark.parametrize("carrier", GAMMA_GRID, ids=lambda c: c.spec)
+def test_index_kernel_matches_the_element_operations(carrier):
+    # The kernel's sum, order and meet on index tuples against the generic
+    # ones on the carrier's own operations, for every pair of sequences.
+    K = _Indices(carrier)
+    elements = carrier.chain_factors.elements
+
+    def lift(indices):
+        return tuple(map(elements.__getitem__, indices))
+
+    seqs = _good_seqs(K, 3)
+    for a in seqs:
+        for b in seqs:
+            x, y = lift(a), lift(b)
+            assert lift(K.sum(a, b)) == _sum(carrier, x, y)
+            assert K.leq(a, b) == _leq(carrier, x, y)
+            assert lift(K.meet(a, b)) == _pointwise(carrier, x, y, carrier.meet)
+
+
+def test_index_kernel_checks_each_sum_is_good():
+    # A wrong oplus entry 2 + 1 = 1 over chain:2 makes (2) + (1) the
+    # non-good (1, 1), which the sum's own check refuses.
+    K = _Indices(L2)
+    assert K.sum((2,), (1,)) == (2, 1)
+    K.oplus[2] = [2, 1, 2]
+    with pytest.raises(AssertionError, match="monoid sum produced a non-good sequence at index 0"):
+        K.sum((2,), (1,))
 
 
 def test_gamma_of_xi_refuses_a_long_chain_before_tabulating():

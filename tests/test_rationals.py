@@ -67,12 +67,14 @@ def test_scale_examples():
     assert Q01(ONE * Q01(2, 3)) == Q01(2, 3)
 
 
+@settings(derandomize=True)
 @given(q01s, q01s)
 def test_scale_total_and_exact(r, x):
     # The product of two Q01 values is again a Q01: no clamping is needed.
     assert Q01(r * x) == Fraction(r) * Fraction(x)
 
 
+@settings(derandomize=True)
 @given(q01s)
 def test_involution_and_units(x):
     assert neg(neg(x)) == x
@@ -81,6 +83,7 @@ def test_involution_and_units(x):
     assert nfold(1, x) == x
 
 
+@settings(derandomize=True)
 @given(q01s, q01s, q01s)
 def test_monoid_laws(x, y, z):
     assert oplus(x, y) == oplus(y, x)
