@@ -40,7 +40,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
-from .rationals import Q01, ZERO, parse_q01
+from .rationals import ONE, Q01, ZERO, parse_q01
 
 __all__ = [
     "CarrierError",
@@ -257,10 +257,17 @@ class UnitInterval(Carrier):
     def zero(self) -> Q01:
         return ZERO
 
+    # Exact Q01 arguments take int kernels: Fraction.__new__ reduces, no range check.
     def oplus(self, x: Q01, y: Q01) -> Q01:
+        if type(x) is Q01 and type(y) is Q01:
+            b, d = x._denominator, y._denominator
+            n, m = x._numerator * d + y._numerator * b, b * d
+            return ONE if n >= m else Fraction.__new__(Q01, n, m)
         return Q01(min(x + y, 1))
 
     def neg(self, x: Q01) -> Q01:
+        if type(x) is Q01:
+            return Fraction.__new__(Q01, x._denominator - x._numerator, x._denominator)
         return Q01(1 - x)
 
     def leq(self, x: Q01, y: Q01) -> bool:
@@ -270,13 +277,21 @@ class UnitInterval(Carrier):
         return q
 
     def midpoint(self, x: Q01, y: Q01) -> Q01:
+        if type(x) is Q01 and type(y) is Q01:
+            b, d = x._denominator, y._denominator
+            return Fraction.__new__(Q01, x._numerator * d + y._numerator * b, 2 * b * d)
         return Q01((x + y) / 2)
 
-    def halve_n(self, n: int, x: Q01) -> Q01:
-        return Q01(x / 2**n)
+    def nfold(self, n: int, x: Q01) -> Q01:  # min(n x, 1) in one step
+        if type(x) is Q01 and type(n) is int and n >= 1:
+            m = n * x._numerator
+            return ONE if m >= x._denominator else Fraction.__new__(Q01, m, x._denominator)
+        return super().nfold(n, x)
 
-    def format_element(self, x) -> str:
-        return str(x)
+    def halve_n(self, n: int, x: Q01) -> Q01:
+        if type(x) is Q01 and type(n) is int and n >= 0:
+            return Fraction.__new__(Q01, x._numerator, x._denominator << n)
+        return Q01(x / 2**n)
 
     def parse_element(self, text: str) -> Q01:
         return parse_q01(text)
@@ -316,11 +331,11 @@ class FiniteChain(Carrier):
         return min(x + y, n)
 
     def neg(self, x: int) -> int:
-        self._check(x)
-        return self.n - x
+        return self.n - (x if type(x) is int and 0 <= x <= self.n else self._check(x))
 
     def leq(self, x: int, y: int) -> bool:
-        self._check(x), self._check(y)
+        if not (type(x) is type(y) is int and 0 <= x <= self.n and 0 <= y <= self.n):
+            self._check(x), self._check(y)
         return x <= y
 
     def const(self, q: Q01) -> int:

@@ -32,7 +32,7 @@ class Q01(Fraction):
 
     def __new__(cls, numerator=0, denominator=None):
         self = super().__new__(cls, numerator, denominator)
-        if self < 0 or self > 1:
+        if not 0 <= self._numerator <= self._denominator:
             raise ValueError(f"rational {Fraction(self)!s} lies outside [0, 1]")
         return self
 

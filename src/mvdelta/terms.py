@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import is_
 
 from .rationals import Q01, ZERO
 
@@ -205,6 +206,8 @@ class Equation:
 _BINARY = {"oplus": Oplus, "odot": Odot, "ominus": Ominus, "dist": Dist, "join": Join, "meet": Meet}
 _INT_FIRST = {"halfn": HalfN, "nfold": NFold}
 _APPLY = {"neg": Neg, "half": Half, **_BINARY, **_INT_FIRST}
+_PAIRS = frozenset(_BINARY.values())
+_SINGLES = frozenset({Neg, Half, *_INT_FIRST.values()})
 _NAME = {cls: name for name, cls in _APPLY.items()}
 RESERVED = frozenset(_APPLY) | {"delta"}
 _RELATION = {"=": "eq", "<=": "leq"}
@@ -347,15 +350,15 @@ def parse_equation(text: str) -> Equation:
 
 
 def _children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Var(_) | Const(_):
-            return ()
-        case Neg(arg) | Half(arg) | HalfN(_, arg) | NFold(_, arg):
-            return (arg,)
-        case Oplus(l, r) | Odot(l, r) | Ominus(l, r) | Dist(l, r) | Join(l, r) | Meet(l, r):
-            return (l, r)
-        case Delta(EvSeq(prefix, tail)):
-            return (*prefix, tail)
+    cls = type(t)
+    if cls in _PAIRS:
+        return (t.left, t.right)
+    if cls in _SINGLES:
+        return (t.arg,)
+    if cls is Var or cls is Const:
+        return ()
+    if cls is Delta:
+        return (*t.seq.prefix, t.seq.tail)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -363,18 +366,23 @@ def _postorder(roots, visit) -> list:
     """Call ``visit(node, results of its children)`` once per distinct node
     object, children first and left to right, and return the results of
     the roots.  Iterative, so deep terms need no recursion; nodes are
-    keyed by identity, which the roots keep alive."""
+    keyed by identity, which the roots keep alive.  The stack holds nodes
+    still to enter and, as ``(node, children)`` pairs, nodes to leave."""
     done: dict[int, object] = {}
     for root in roots:
-        stack = [(root, None)]
+        stack = [root]
         while stack:
-            node, kids = stack.pop()
-            if kids is not None:
-                done[id(node)] = visit(node, [done[id(k)] for k in kids])
+            node = stack.pop()
+            if type(node) is tuple:
+                node, kids = node
+                done[id(node)] = visit(node, list(map(done.__getitem__, map(id, kids))))
             elif id(node) not in done:
                 kids = _children(node)
-                stack.append((node, kids))
-                stack.extend((k, None) for k in reversed(kids))
+                if kids:
+                    stack.append((node, kids))
+                    stack.extend(reversed(kids))
+                else:
+                    done[id(node)] = visit(node, [])
     return [done[id(root)] for root in roots]
 
 
@@ -426,16 +434,23 @@ _SUGAR = {
 
 
 def _expand_node(t: Term, kids: list[Term]) -> Term:
-    match t:
-        case Var(_) | Const(_):
+    """t over its expanded children; a core node none of whose children changed is kept."""
+    cls = type(t)
+    if cls is Var or cls is Const:
+        return t
+    if cls is Oplus:
+        left, right = kids
+        return t if left is t.left and right is t.right else Oplus(left, right)
+    if cls is Neg:
+        return t if kids[0] is t.arg else Neg(kids[0])
+    if cls is NFold or cls is HalfN:
+        return t if kids[0] is t.arg else cls(t.n, kids[0])
+    if cls is Delta:
+        seq = t.seq
+        if kids[-1] is seq.tail and all(map(is_, kids, seq.prefix)):
             return t
-        case Neg(_) | Oplus(_, _):
-            return type(t)(*kids)
-        case HalfN(n, _) | NFold(n, _):
-            return type(t)(n, *kids)
-        case Delta(_):
-            return Delta(EvSeq(tuple(kids[:-1]), kids[-1]))
-    return _SUGAR[type(t)](*kids)
+        return Delta(EvSeq(tuple(kids[:-1]), kids[-1]))
+    return _SUGAR[cls](*kids)
 
 
 def expand(t: Term) -> Term:
@@ -475,26 +490,26 @@ def compile_core(roots):
     slot_of: dict[tuple, int] = {}
 
     def emit(node: Term, slots: list[int]) -> int:
-        match node:
-            case Var(name):
-                key, depth = (VAR, name, None), 0
-            case Const(value):
-                key, depth = (CONST, value, None), 0
-            case Neg(_):
-                key, depth = (NEG, slots[0], None), halvings[slots[0]]
-            case Oplus(_, _):
-                key = (OPLUS, slots[0], slots[1])
-                depth = max(halvings[slots[0]], halvings[slots[1]])
-            case NFold(n, _):
-                key, depth = (NFOLD, n, slots[0]), halvings[slots[0]]
-            case HalfN(n, _):
-                key, depth = (HALFN, n, slots[0]), halvings[slots[0]] + n
-            case Delta(EvSeq(prefix, _)):
-                shifts = [*range(1, len(prefix) + 1), len(prefix)]
-                key = (DELTA, tuple(zip(slots, shifts)), None)
-                depth = max(halvings[s] + i for s, i in zip(slots, shifts))
-            case _:
-                raise TypeError(f"term not in core form (call expand first): {node!r}")
+        cls, a = type(node), slots[0] if slots else None
+        if cls is Oplus:
+            key, depth = (OPLUS, a, slots[1]), max(halvings[a], halvings[slots[1]])
+        elif cls is Neg:
+            key, depth = (NEG, a, None), halvings[a]
+        elif cls is Var:
+            key, depth = (VAR, node.name, None), 0
+        elif cls is Const:
+            key, depth = (CONST, node.value, None), 0
+        elif cls is NFold:
+            key, depth = (NFOLD, node.n, a), halvings[a]
+        elif cls is HalfN:
+            key, depth = (HALFN, node.n, a), halvings[a] + node.n
+        elif cls is Delta:
+            k = len(node.seq.prefix)
+            shifts = [*range(1, k + 1), k]
+            key = (DELTA, tuple(zip(slots, shifts)), None)
+            depth = max(halvings[s] + i for s, i in zip(slots, shifts))
+        else:
+            raise TypeError(f"term not in core form (call expand first): {node!r}")
         slot = slot_of.get(key)
         if slot is None:
             slot = slot_of[key] = len(code)

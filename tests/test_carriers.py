@@ -91,9 +91,39 @@ def test_chain_oplus_takes_an_int_subclass_member_in_range():
     assert type(chain.oplus(Level.LOW, Level.LOW)) is int
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), -1, 4], ids=repr)
+def test_chain_neg_and_leq_refuse_a_non_element(bad):
+    chain = FiniteChain(3)
+    calls = [lambda: chain.neg(bad), lambda: chain.leq(bad, 1), lambda: chain.leq(1, bad)]
+    for call in calls:
+        with pytest.raises(CarrierMismatch) as err:
+            call()
+        assert str(err.value) == f"{bad!r} is not an element of chain:3"
+
+
+def test_chain_neg_and_leq_take_an_int_subclass_member_in_range():
+    class Level(IntEnum):
+        LOW = 1
+        HIGH = 3
+
+    chain = FiniteChain(3)
+    assert chain.neg(Level.LOW) == 2 and type(chain.neg(Level.HIGH)) is int
+    assert chain.leq(Level.LOW, Level.HIGH) and chain.leq(Level.LOW, 1)
+    assert not chain.leq(Level.HIGH, 2) and not chain.leq(2, Level.LOW)
+
+
 def test_chain_check_calls_the_chains_own_oplus():
     with pytest.raises(AssertionError, match="homomorphism check on chain:3"):
         _check_chain(WrongSum(3, 1, 1, 3))
+
+
+def test_chain_check_calls_the_chains_own_neg():
+    class WrongNeg(FiniteChain):
+        def neg(self, x):
+            return 0 if x == 1 else super().neg(x)
+
+    with pytest.raises(AssertionError, match="homomorphism check on chain:3"):
+        _check_chain(WrongNeg(3))
 
 
 def test_chang_operations():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -259,3 +260,95 @@ def test_accepted_chang_literals_print_back_canonically(level, offset):
         assert not valid
     else:
         assert valid and printed == f"({a},{b})"
+
+
+# --- the unit interval's connectives against Fraction closed forms -----------
+
+# Exact Q01 arguments take int kernels in carriers.UnitInterval; these
+# closed forms in plain Fraction arithmetic are their oracle.  Larger
+# denominators than q01s draws reach the kernels' products of ints.
+_wide_q01s = st.one_of(q01s, st.builds(lambda n, d: Q01(min(n, d), d),
+                                       st.integers(0, 10**12), st.integers(1, 10**12)))
+
+
+def _fraction_delta(prefix, tail):
+    k = len(prefix)
+    return sum(Fraction(p) / 2**i for i, p in enumerate(prefix, 1)) + Fraction(tail) / 2**k
+
+
+def _assert_canonical_q01(value, want):
+    assert type(value) is Q01 and value == want
+    assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
+    assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wide_q01s, _wide_q01s, st.integers(1, 10**4), st.lists(_wide_q01s, max_size=4))
+def test_q01_connectives_equal_their_fraction_closed_forms(x, y, n, prefix):
+    fx, fy = Fraction(x), Fraction(y)
+    _assert_canonical_q01(oplus(x, y), min(fx + fy, Fraction(1)))
+    _assert_canonical_q01(neg(x), 1 - fx)
+    _assert_canonical_q01(Q01_CARRIER.midpoint(x, y), (fx + fy) / 2)
+    _assert_canonical_q01(Q01_CARRIER.halve_n(n, x), fx / 2**n)
+    _assert_canonical_q01(nfold(n, x), min(n * fx, Fraction(1)))
+    _assert_canonical_q01(Q01_CARRIER.delta(prefix, y), _fraction_delta(prefix, y))
+
+
+# The formulas of the general path, which every argument that is not an
+# exact Q01 takes: nfold is binary doubling over this oplus.
+def _slow_oplus(x, y):
+    return Q01(min(x + y, 1))
+
+
+def _slow_nfold(n, x):
+    if n < 1:
+        raise ValueError(f"nfold requires n >= 1, got {n}")
+    out, power = None, x
+    while True:
+        if n & 1:
+            out = power if out is None else _slow_oplus(out, power)
+        n >>= 1
+        if not n:
+            return out
+        power = _slow_oplus(power, power)
+
+
+_SLOW = {
+    "oplus": _slow_oplus,
+    "neg": lambda x: Q01(1 - x),
+    "midpoint": lambda x, y: Q01((x + y) / 2),
+    "halve_n": lambda n, x: Q01(x / 2**n),
+    "nfold": _slow_nfold,
+}
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc)
+    return "returns", type(value), value
+
+
+_NOT_EXACT = [Fraction(3, 2), Fraction(1, 2), True, 0.5, 2]
+
+
+@pytest.mark.parametrize("bad", _NOT_EXACT, ids=repr)
+def test_q01_connectives_keep_the_general_path_for_other_inputs(bad):
+    calls = [("neg", (bad,))]
+    for q in (ZERO, Q01(1, 3), ONE, bad):
+        calls += [(name, args) for name in ("oplus", "midpoint") for args in ((bad, q), (q, bad))]
+    calls += [("halve_n", (k, bad)) for k in (0, 1, 3)]
+    calls += [("nfold", (k, bad)) for k in (0, 1, 2, 3, 5)]
+    calls += [("halve_n", (-1, Q01(1, 3))), ("nfold", (0, Q01(1, 3))), ("nfold", (2.0, Q01(1, 3)))]
+    for name, args in calls:
+        want = _outcome(_SLOW[name], *args)
+        assert _outcome(getattr(Q01_CARRIER, name), *args) == want, (name, args)
+
+
+def test_q01_range_check_keeps_its_message():
+    for args, shown in (((3, 2), "3/2"), ((-1, 2), "-1/2"), ((Fraction(5, 4),), "5/4")):
+        with pytest.raises(ValueError) as err:
+            Q01(*args)
+        assert str(err.value) == f"rational {shown} lies outside [0, 1]"
+    assert Q01(-4, -8) == Fraction(1, 2) and Q01(-3, -3) == ONE

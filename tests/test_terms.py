@@ -22,7 +22,13 @@ from mvdelta.terms import (
     Ominus,
     Oplus,
     ParseError,
+    CONST,
+    DELTA,
+    HALFN,
+    NEG,
+    NFOLD,
     OPLUS,
+    VAR,
     UnboundVariable,
     Var,
     compile_core,
@@ -380,3 +386,56 @@ def test_program_vars_are_sorted_and_distinct():
     assert program_vars(code) == ["x", "y", "z"]
     code, _, _ = compile_core((expand(parse("1/2")),))
     assert program_vars(code) == []
+
+
+# compile_core's instruction lists, pinned for the sugar templates whose
+# expansions share children: the slot order is the order of a recursive
+# evaluation with equal instructions merged, and the decider's pieces,
+# hence its witnesses, follow it.
+_X, _Y, _Z = (VAR, "x", None), (VAR, "y", None), (VAR, "z", None)
+_PINNED_PROGRAMS = {
+    "join(x, y)": ([_X, (NEG, 0, None), _Y, (OPLUS, 1, 2), (NEG, 3, None), (OPLUS, 4, 2)], 0),
+    "meet(x, y)": ([_X, (NEG, 0, None), (NEG, 1, None), _Y, (NEG, 3, None), (OPLUS, 2, 4),
+                    (NEG, 5, None), (OPLUS, 6, 4), (NEG, 7, None)], 0),
+    "dist(x, y)": ([_X, (NEG, 0, None), _Y, (OPLUS, 1, 2), (NEG, 3, None), (NEG, 2, None),
+                    (OPLUS, 5, 0), (NEG, 6, None), (OPLUS, 4, 7)], 0),
+    "odot(x, y)": ([_X, (NEG, 0, None), _Y, (NEG, 2, None), (OPLUS, 1, 3), (NEG, 4, None)], 0),
+    "ominus(x, y)": ([_X, (NEG, 0, None), _Y, (OPLUS, 1, 2), (NEG, 3, None)], 0),
+    "half(x)": ([_X, (CONST, ZERO, None), (DELTA, ((0, 1), (1, 1)), None)], 1),
+    "delta(x, y; z)": ([_X, _Y, _Z, (DELTA, ((0, 1), (1, 2), (2, 2)), None)], 2),
+    "nfold(3, half(x))": ([_X, (CONST, ZERO, None), (DELTA, ((0, 1), (1, 1)), None), (NFOLD, 3, 2)], 1),
+    "halfn(2, x)": ([_X, (HALFN, 2, 0)], 2),
+    "oplus(neg(oplus(x, 1/2)), oplus(x, 1/2))": (
+        [_X, (CONST, Q01(1, 2), None), (OPLUS, 0, 1), (NEG, 2, None), (OPLUS, 3, 2)], 0),
+}
+
+
+@pytest.mark.parametrize("text", list(_PINNED_PROGRAMS))
+def test_compile_core_emits_the_pinned_program(text):
+    code, depth = _PINNED_PROGRAMS[text]
+    assert compile_core((expand(parse(text)),)) == (code, [len(code) - 1], depth)
+
+
+def test_compile_core_shares_slots_across_roots():
+    lhs, rhs = expand(parse("join(x, y)")), expand(parse("meet(y, x)"))
+    code, slots, depth = compile_core((lhs, rhs))
+    assert code == [_X, (NEG, 0, None), _Y, (OPLUS, 1, 2), (NEG, 3, None), (OPLUS, 4, 2),
+                    (NEG, 2, None), (NEG, 6, None), (OPLUS, 7, 1), (NEG, 8, None), (OPLUS, 9, 1),
+                    (NEG, 10, None)]
+    assert (slots, depth) == ([5, 11], 0)
+
+
+def test_expand_keeps_a_core_term_and_rebuilds_only_above_sugar():
+    core = expand(parse("oplus(neg(x), delta(halfn(2, y), nfold(3, x); 1/2))"))
+    assert expand(core) is core
+    t = parse("oplus(neg(x), half(y))")
+    out = expand(t)
+    assert out.left is t.left and out != t
+    assert out == Oplus(Neg(Var("x")), Delta(EvSeq((Var("y"),), Const(ZERO))))
+
+
+def test_walks_refuse_a_non_term_with_the_same_texts():
+    with pytest.raises(TypeError, match=r"^not a term: 'x'$"):
+        expand(Neg("x"))
+    with pytest.raises(TypeError, match=r"^term not in core form \(call expand first\): Half"):
+        compile_core((Half(Var("x")),))
