@@ -14,6 +14,7 @@ piecewise-linear functions (every law must hold exactly), and the CLI
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .terms import Term, parse
@@ -213,14 +214,20 @@ def delta_laws(max_prefix: int = 2, max_n: int = 4) -> list[Law]:
     return laws
 
 
-def axiom_suite(max_prefix: int = 2, max_n: int = 4) -> list[Law]:
-    """Everything a delta-capable carrier must satisfy: MV laws plus delta laws."""
-    return mv_laws() + delta_laws(max_prefix=max_prefix, max_n=max_n)
+@functools.cache
+def _axiom_laws() -> tuple[Law, ...]:
+    return (*mv_laws(), *delta_laws())
+
+
+def axiom_suite() -> list[Law]:
+    """Everything a delta-capable carrier must satisfy: MV laws plus delta
+    laws, parsed once per process; each call returns a fresh list."""
+    return list(_axiom_laws())
 
 
 def decision_corpus() -> list[Law]:
     """The corpus the decision engine must settle as Valid."""
-    return axiom_suite(max_prefix=2, max_n=4)
+    return axiom_suite()
 
 
 def non_theorems() -> list[Law]:

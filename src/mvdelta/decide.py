@@ -21,11 +21,11 @@ guards and an extra constraint serves ``oplus`` (the regime),
 It drops the merge without any arithmetic when the extra constraint
 fails on the whole box, or when the guard holds a constraint together
 with its complement (rows are divided by their gcd, so ``4x - 2 > 0``
-meets ``1 - 2x >= 0``): this happens when ``expand`` copies a shared
-subterm and so reaches one split twice.  Every dropped piece or pair is
-empty, so the pieces still cover the box and ``Valid`` stays complete;
-every witness satisfies its pair's guards, so every ``Counterexample``
-replays.
+meets ``1 - 2x >= 0``): this happens when both sides of a merge depend
+on one split, as in ``oplus(t, neg(t))``.  Every dropped piece or pair
+is empty, so the pieces still cover the box and ``Valid`` stays
+complete; every witness satisfies its pair's guards, so every
+``Counterexample`` replays.
 
 Validity on the cube settles validity in every MV-algebra (the unit
 interval generates the variety), and for the implemented
@@ -71,8 +71,6 @@ __all__ = [
     "BudgetReport",
     "DEFAULT_PIECE_BUDGET",
     "compile_term",
-    "decide_eq",
-    "decide_leq",
     "decide",
     "sample_falsify",
 ]
@@ -109,9 +107,9 @@ Verdict = Valid | Counterexample | LimitExceeded
 def _combine(g1: tuple[Constraint, ...], g2: tuple[Constraint, ...], extra: Constraint | None):
     """Conjunction of two guards and an optional extra constraint, or None
     when it is plainly empty: the extra constraint fails on the whole box,
-    or the guard holds a constraint together with its complement (one
-    split reached twice through a copied subterm).  An extra constraint
-    that holds on the whole box is left out."""
+    or the guard holds a constraint together with its complement (both
+    sides depend on one split).  An extra constraint that holds on the
+    whole box is left out."""
     if extra is not None:
         holds = extra.over_box()
         if holds is False:
@@ -208,7 +206,7 @@ def _piece_lists(code, halving_depth: int, budget: int):
 
 
 def compile_term(t: Term, budget: int = DEFAULT_PIECE_BUDGET):
-    """Compile an expanded term into pieces partitioning the box.
+    """Compile a term into pieces partitioning the box.
 
     Returns the sorted variable names, the program's denominator D and
     the (guard constraints, form) pieces; a guard leaves out the box,
@@ -241,7 +239,7 @@ def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDG
     unit cube; an equation is two <= checks over one program of both sides."""
     if relation not in ("eq", "leq"):
         raise ValueError(f"unknown relation {relation!r}")
-    code, (left, right), halving_depth = terms.compile_core((terms.expand(lhs), terms.expand(rhs)))
+    code, (left, right), halving_depth = terms.compile_core((lhs, rhs))
     try:
         names, _, pieces = _piece_lists(code, halving_depth, budget)
         witness = _decide_leq_pieces(pieces[left], pieces[right], names, budget)
@@ -256,16 +254,6 @@ def decide(lhs: Term, rhs: Term, relation: str, budget: int = DEFAULT_PIECE_BUDG
     lv, rv = values[left], values[right]
     assert lv != rv if relation == "eq" else not lv <= rv
     return Counterexample(assignment, lv, rv)
-
-
-def decide_leq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
-    """Valid iff lhs <= rhs identically on the unit cube."""
-    return decide(lhs, rhs, "leq", budget)
-
-
-def decide_eq(lhs: Term, rhs: Term, budget: int = DEFAULT_PIECE_BUDGET) -> Verdict:
-    """Valid iff lhs = rhs identically on the unit cube."""
-    return decide(lhs, rhs, "eq", budget)
 
 
 #: Samples that ``sample_falsify`` runs together, one column per slot.
@@ -331,8 +319,7 @@ def sample_falsify(
     if relation not in ("eq", "leq"):
         raise ValueError(f"unknown relation {relation!r}")
     fails = ne if relation == "eq" else gt
-    le, re_ = terms.expand(lhs), terms.expand(rhs)
-    code, (lhs_slot, rhs_slot), halving_depth = terms.compile_core((le, re_))
+    code, (lhs_slot, rhs_slot), halving_depth = terms.compile_core((lhs, rhs))
     variables = terms.program_vars(code)
     grid = 2**depth
     scale = terms.program_scale(code, halving_depth)

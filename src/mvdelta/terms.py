@@ -22,15 +22,16 @@ finite-support sequence is written with tail ``0``.  On a carrier its
 value is ``sum(p_i / 2^i) + c / 2^k``, which never exceeds 1 for
 unit-interval arguments, so the truncated and the ordinary sum agree.
 
-``expand`` rewrites the sugar into the core nodes ``Var``, ``Const``,
-``Neg``, ``Oplus``, ``Delta``, ``NFold`` and ``HalfN``.  The counted
-nodes stay counted: ``nfold(n, t)`` is ``min(n*t, 1)`` and
-``halfn(n, t)`` is ``t / 2^n`` on the unit interval, which generates the
-variety, so every consumer can handle them in closed form instead of
-unrolling n connectives.
-
-``compile_core`` turns expanded terms into one hash-consed program in
+``compile_core`` turns terms into one hash-consed program in
 left-to-right post-order, and ``run`` evaluates it over any carrier.
+The sugar is lowered as it is compiled, through the one definition of
+each derived connective on ``carriers.Carrier``; ``expand`` reads the
+program back over the core nodes ``Var``, ``Const``, ``Neg``, ``Oplus``,
+``Delta``, ``NFold`` and ``HalfN``.  The counted nodes stay counted:
+``nfold(n, t)`` is ``min(n*t, 1)`` and ``halfn(n, t)`` is ``t / 2^n`` on
+the unit interval, which generates the variety, so every consumer can
+handle them in closed form instead of unrolling n connectives.
+
 This is the one module that knows the shapes of the core nodes and the
 instruction format: the evaluator, the decider's piece compiler and its
 sampler all run through ``run`` (the last two as carriers of their
@@ -47,8 +48,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from operator import is_
 
+from .carriers import Carrier
 from .rationals import Q01, ZERO
 
 __all__ = [
@@ -137,8 +138,8 @@ class Delta(Term):
     seq: EvSeq
 
 
-# Sugar nodes Odot..Half; expand() rewrites them into core nodes.  HalfN
-# and NFold, below them, are core nodes.
+# Sugar nodes Odot..Half; compile_core lowers them into core instructions.
+# HalfN and NFold, below them, are core nodes.
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,56 +419,52 @@ def _commas(terms) -> list:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    code, _, _ = compile_core((expand(t),))
-    return frozenset(program_vars(code))
-
-
-# Each sugar node as core nodes over its expanded arguments.
-_SUGAR = {
-    Odot: lambda l, r: Neg(Oplus(Neg(l), Neg(r))),
-    Ominus: lambda l, r: Neg(Oplus(Neg(l), r)),  # x odot neg(y)
-    Dist: lambda l, r: Oplus(_SUGAR[Ominus](l, r), _SUGAR[Ominus](r, l)),
-    Join: lambda l, r: Oplus(Neg(Oplus(Neg(l), r)), r),
-    Meet: lambda l, r: Neg(_SUGAR[Join](Neg(l), Neg(r))),
-    Half: lambda arg: Delta(EvSeq((arg,), Const(ZERO))),
-}
-
-
-def _expand_node(t: Term, kids: list[Term]) -> Term:
-    """t over its expanded children; a core node none of whose children changed is kept."""
-    cls = type(t)
-    if cls is Var or cls is Const:
-        return t
-    if cls is Oplus:
-        left, right = kids
-        return t if left is t.left and right is t.right else Oplus(left, right)
-    if cls is Neg:
-        return t if kids[0] is t.arg else Neg(kids[0])
-    if cls is NFold or cls is HalfN:
-        return t if kids[0] is t.arg else cls(t.n, kids[0])
-    if cls is Delta:
-        seq = t.seq
-        if kids[-1] is seq.tail and all(map(is_, kids, seq.prefix)):
-            return t
-        return Delta(EvSeq(tuple(kids[:-1]), kids[-1]))
-    return _SUGAR[cls](*kids)
-
-
-def expand(t: Term) -> Term:
-    """Rewrite sugar into the core nodes {Var, Const, Neg, Oplus, Delta, NFold, HalfN}.
-
-    ``nfold`` and ``halfn`` keep their counts: unrolled they would be n
-    nested connectives.  Iterative, like everything that reads terms.
-    """
-    return _postorder((t,), _expand_node)[0]
+    return frozenset(program_vars(compile_core((t,))[0]))
 
 
 # Opcodes of a compiled core program.
 VAR, CONST, NEG, OPLUS, DELTA, NFOLD, HALFN = range(7)
 
 
+class _Program(Carrier):
+    """The builder of ``compile_core``: a carrier whose values are the
+    slots of one hash-consed program.  ``zero``, ``neg``, ``oplus`` and
+    ``delta`` each emit one instruction, so the sugar lowers through the
+    connectives ``Carrier`` defines, ``half`` through ``halve_n(1, .)``."""
+
+    spec = "program"
+
+    def __init__(self):
+        self.code: list[tuple] = []
+        self.halvings: list[int] = []  # per slot, the most halvings down to a leaf
+        self.slot_of: dict[tuple, int] = {}
+
+    def emit(self, key: tuple, depth: int) -> int:
+        """The slot of an instruction, appended unless an equal one exists."""
+        slot = self.slot_of.get(key)
+        if slot is None:
+            slot = self.slot_of[key] = len(self.code)
+            self.code.append(key)
+            self.halvings.append(depth)
+        return slot
+
+    def zero(self) -> int:
+        return self.emit((CONST, ZERO, None), 0)
+
+    def neg(self, s: int) -> int:
+        return self.emit((NEG, s, None), self.halvings[s])
+
+    def oplus(self, s: int, t: int) -> int:
+        return self.emit((OPLUS, s, t), max(self.halvings[s], self.halvings[t]))
+
+    def delta(self, prefix: list[int], tail: int) -> int:
+        k = len(prefix)
+        pairs = tuple(zip((*prefix, tail), (*range(1, k + 1), k)))
+        return self.emit((DELTA, pairs, None), max(self.halvings[s] + i for s, i in pairs))
+
+
 def compile_core(roots):
-    """One hash-consed program for expanded terms, in left-to-right post-order.
+    """One hash-consed program for terms, in left-to-right post-order.
 
     Instruction ``i`` is ``(opcode, a, b)`` and computes slot ``i`` from
     earlier slots:
@@ -479,46 +476,38 @@ def compile_core(roots):
       prefix slot with its halving count, the tail last.
 
     Equal instructions share one slot, so a shared subterm is computed
-    once, and slots follow the order of a recursive evaluation, so a run
-    meets the carrier's errors in the same order.  Returns the
-    instructions, the slot of each root, and the halving depth: the most
-    halvings on a path from a root down to a leaf, which bounds how far
-    any value may be shifted.
+    once.  A sugar node emits its definition after its arguments, so
+    only the ``neg`` and ``oplus`` of a lowered connective leave the
+    order of a recursive evaluation, and a run meets the carrier's
+    errors in the same order.  Returns the instructions, the slot of
+    each root, and the halving depth: the most halvings on a path from a
+    root down to a leaf, which bounds how far any value may be shifted.
     """
-    code: list[tuple] = []
-    halvings: list[int] = []
-    slot_of: dict[tuple, int] = {}
+    prog = _Program()
+    emit, halvings = prog.emit, prog.halvings
 
-    def emit(node: Term, slots: list[int]) -> int:
-        cls, a = type(node), slots[0] if slots else None
+    def visit(node: Term, slots: list[int]) -> int:
+        cls = type(node)
         if cls is Oplus:
-            key, depth = (OPLUS, a, slots[1]), max(halvings[a], halvings[slots[1]])
-        elif cls is Neg:
-            key, depth = (NEG, a, None), halvings[a]
-        elif cls is Var:
-            key, depth = (VAR, node.name, None), 0
-        elif cls is Const:
-            key, depth = (CONST, node.value, None), 0
-        elif cls is NFold:
-            key, depth = (NFOLD, node.n, a), halvings[a]
-        elif cls is HalfN:
-            key, depth = (HALFN, node.n, a), halvings[a] + node.n
-        elif cls is Delta:
-            k = len(node.seq.prefix)
-            shifts = [*range(1, k + 1), k]
-            key = (DELTA, tuple(zip(slots, shifts)), None)
-            depth = max(halvings[s] + i for s, i in zip(slots, shifts))
-        else:
-            raise TypeError(f"term not in core form (call expand first): {node!r}")
-        slot = slot_of.get(key)
-        if slot is None:
-            slot = slot_of[key] = len(code)
-            code.append(key)
-            halvings.append(depth)
-        return slot
+            return prog.oplus(*slots)
+        if cls is Neg:
+            return prog.neg(*slots)
+        if cls is Var:
+            return emit((VAR, node.name, None), 0)
+        if cls is Const:
+            return emit((CONST, node.value, None), 0)
+        if cls is Delta:
+            return prog.delta(slots[:-1], slots[-1])
+        if cls is NFold:
+            return emit((NFOLD, node.n, slots[0]), halvings[slots[0]])
+        if cls is HalfN:
+            return emit((HALFN, node.n, slots[0]), halvings[slots[0]] + node.n)
+        if cls is Half:
+            return prog.halve_n(1, *slots)
+        return getattr(prog, _NAME[cls])(*slots)
 
-    root_slots = _postorder(roots, emit)
-    return code, root_slots, max(halvings[s] for s in root_slots)
+    root_slots = _postorder(roots, visit)
+    return prog.code, root_slots, max(halvings[s] for s in root_slots)
 
 
 def program_vars(code) -> list[str]:
@@ -564,12 +553,28 @@ def run(code, assignment, carrier) -> list:
     return vals
 
 
+class _CoreNodes:
+    """The core node constructors as a carrier of ``run``."""
+
+    const, neg, oplus, nfold, halve_n = Const, Neg, Oplus, NFold, HalfN
+    delta = staticmethod(lambda prefix, tail: Delta(EvSeq(tuple(prefix), tail)))
+
+
+def expand(t: Term) -> Term:
+    """t over the core nodes {Var, Const, Neg, Oplus, Delta, NFold, HalfN}:
+    its program run over the node constructors, so the sugar is lowered
+    as ``compile_core`` lowers it and ``nfold``/``halfn`` keep their
+    counts.  Equal subterms come out as one shared object."""
+    code, (slot,), _ = compile_core((t,))
+    return run(code, {name: Var(name) for name in program_vars(code)}, _CoreNodes)[slot]
+
+
 def evaluate_core(t: Term, assignment, carrier):
-    """Evaluate an already-expanded term over a carrier: ``run`` on its program."""
+    """Evaluate a term over a carrier: ``run`` on its program."""
     code, (slot,), _ = compile_core((t,))
     return run(code, assignment, carrier)[slot]
 
 
 def evaluate(t: Term, assignment, carrier):
-    """Evaluate a term (sugar included) over a carrier under an assignment."""
+    """Evaluate a term over a carrier under an assignment: ``evaluate_core`` on its ``expand``."""
     return evaluate_core(expand(t), assignment, carrier)

@@ -94,11 +94,41 @@ def evaluate_by_recursion(t: Term, assignment, carrier):
     raise TypeError(f"term not in core form: {t!r}")
 
 
+# Each sugar node as core nodes over its expanded arguments.
+_SUGAR = {
+    Odot: lambda l, r: Neg(Oplus(Neg(l), Neg(r))),
+    Ominus: lambda l, r: Neg(Oplus(Neg(l), r)),  # x odot neg(y)
+    Dist: lambda l, r: Oplus(_SUGAR[Ominus](l, r), _SUGAR[Ominus](r, l)),
+    Join: lambda l, r: Oplus(Neg(Oplus(Neg(l), r)), r),
+    Meet: lambda l, r: Neg(_SUGAR[Join](Neg(l), Neg(r))),
+    Half: lambda arg: Delta(EvSeq((arg,), Const(Q01(0)))),
+}
+
+
+def expand_by_recursion(t: Term) -> Term:
+    """t with each sugar node rewritten by its template over its expanded
+    arguments, by structural recursion; the counted nodes stay counted."""
+    match t:
+        case Var() | Const():
+            return t
+        case Neg(arg):
+            return Neg(expand_by_recursion(arg))
+        case Oplus(l, r):
+            return Oplus(expand_by_recursion(l), expand_by_recursion(r))
+        case NFold(n, arg) | HalfN(n, arg):
+            return type(t)(n, expand_by_recursion(arg))
+        case Delta(EvSeq(prefix, tail)):
+            return Delta(EvSeq(tuple(map(expand_by_recursion, prefix)), expand_by_recursion(tail)))
+        case Half(arg):
+            return _SUGAR[Half](expand_by_recursion(arg))
+    return _SUGAR[type(t)](expand_by_recursion(t.left), expand_by_recursion(t.right))
+
+
 def sample_falsify_reference(lhs, rhs, relation="eq", trials=1000, seed=0, depth=8):
     """The sampling search of ``decide.sample_falsify``, evaluated with
     ``evaluate_by_recursion`` on ``Q01`` values: the same rng draws in
     the same order, so both must return the same first failing sample."""
-    le, re_ = terms.expand(lhs), terms.expand(rhs)
+    le, re_ = expand_by_recursion(lhs), expand_by_recursion(rhs)
     variables = sorted(terms.free_vars(le) | terms.free_vars(re_))
     rng = random.Random(seed)
     grid = 2**depth

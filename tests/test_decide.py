@@ -16,8 +16,6 @@ from mvdelta.decide import (
     Valid,
     compile_term,
     decide,
-    decide_eq,
-    decide_leq,
     sample_falsify,
 )
 from mvdelta.linarith import Constraint, feasible
@@ -41,7 +39,13 @@ from mvdelta.terms import (
     parse_equation,
 )
 from mvdelta.terms import print_term as terms_print
-from oracles import AffineForm, evaluate_by_recursion, feasible_by_fractions, sample_falsify_reference
+from oracles import (
+    AffineForm,
+    evaluate_by_recursion,
+    expand_by_recursion,
+    feasible_by_fractions,
+    sample_falsify_reference,
+)
 from oracles import Constraint as FractionConstraint
 from oracles import box_constraints as fraction_box_constraints
 
@@ -253,7 +257,7 @@ def _form_value(frame, form, point):
 
 def _compile(text):
     """(names, scale) and the pieces of a term."""
-    names, scale, pieces = compile_term(expand(parse(text)))
+    names, scale, pieces = compile_term(parse(text))
     return (names, scale), pieces
 
 
@@ -299,10 +303,10 @@ def test_pieces_cover_and_agree_with_evaluation(salt):
             "delta(halfn(2, x), 2/3; oplus(x, 1/5))",
         ]
     )
-    t = expand(parse(text))
+    t = parse(text)
     *frame, pieces = compile_term(t)
     point = {v: Q01(rng.randint(0, 16), 16) for v in free_vars(t)}
-    value = evaluate_by_recursion(t, point, Q01_CARRIER)
+    value = evaluate_by_recursion(expand_by_recursion(t), point, Q01_CARRIER)
     frac_point = {v: Fraction(q) for v, q in point.items()}
     live = 0
     for guard, form in pieces:
@@ -336,7 +340,7 @@ _PARTITION_TERMS = [
 def test_pieces_partition_the_box(text):
     """Every grid point lies in exactly one piece, whose form gives the
     value; no guard holds a constraint together with its complement."""
-    t = expand(parse(text))
+    t = parse(text)
     *frame, pieces = compile_term(t)
     for guard, _ in pieces:
         guard = set(guard)
@@ -358,7 +362,7 @@ def test_pieces_partition_the_box(text):
         ]
         assert len(live) == 1, (text, assignment)
         assert _form_value(frame, live[0], frac_point) == Fraction(
-            evaluate_by_recursion(t, assignment, Q01_CARRIER)
+            evaluate_by_recursion(expand_by_recursion(t), assignment, Q01_CARRIER)
         ), (text, assignment)
 
 
@@ -405,7 +409,7 @@ def test_scaling_families_valid_under_default_budget(text):
 def test_decide_characteristic_law_valid():
     lhs = parse("oplus(neg(oplus(neg(x), y)), y)")
     rhs = parse("oplus(neg(oplus(neg(y), x)), x)")
-    assert isinstance(decide_eq(lhs, rhs), Valid)
+    assert isinstance(decide(lhs, rhs, "eq"), Valid)
 
 
 def test_constant_nonpositive_differences_need_no_feasibility_call(monkeypatch):
@@ -413,7 +417,7 @@ def test_constant_nonpositive_differences_need_no_feasibility_call(monkeypatch):
     # constant <= 0 or has an empty merged guard.
     calls = []
     monkeypatch.setattr(linarith, "feasible", lambda system, names: calls.append(system))
-    assert isinstance(decide_eq(parse("oplus(x, y)"), parse("oplus(y, x)")), Valid)
+    assert isinstance(decide(parse("oplus(x, y)"), parse("oplus(y, x)"), "eq"), Valid)
     assert calls == []
 
 
@@ -421,7 +425,7 @@ def test_nfold_comparison_needs_no_feasibility_call(monkeypatch):
     # Each difference x - k*x or x - 1 fails on the whole box.
     calls = []
     monkeypatch.setattr(linarith, "feasible", lambda system, names: calls.append(system))
-    assert isinstance(decide_leq(parse("x"), parse("nfold(16, x)")), Valid)
+    assert isinstance(decide(parse("x"), parse("nfold(16, x)"), "leq"), Valid)
     assert calls == []
 
 
@@ -479,7 +483,7 @@ def test_corpus_feasibility_call_counts(monkeypatch):
 
 
 def test_decide_idempotence_counterexample():
-    verdict = decide_eq(parse("oplus(x, x)"), parse("x"))
+    verdict = decide(parse("oplus(x, x)"), parse("x"), "eq")
     assert isinstance(verdict, Counterexample)
     x = verdict.assignment["x"]
     assert 0 < x < 1
@@ -489,13 +493,13 @@ def test_decide_idempotence_counterexample():
 
 def test_decide_half_doubling_valid():
     assert isinstance(
-        decide_eq(parse("oplus(half(x), half(x))"), parse("x")), Valid
+        decide(parse("oplus(half(x), half(x))"), parse("x"), "eq"), Valid
     )
 
 
 def test_decide_halving_monus_axiom_valid():
     assert isinstance(
-        decide_eq(parse("half(ominus(x, y))"), parse("ominus(half(x), half(y))")),
+        decide(parse("half(ominus(x, y))"), parse("ominus(half(x), half(y))"), "eq"),
         Valid,
     )
 
@@ -503,18 +507,18 @@ def test_decide_halving_monus_axiom_valid():
 def test_decide_monotone_axiom_instance_valid():
     small = parse("delta(x1, x2; c)")
     big = parse("delta(oplus(x1, y1), oplus(x2, y2); oplus(c, d))")
-    assert isinstance(decide_leq(small, big), Valid)
+    assert isinstance(decide(small, big, "leq"), Valid)
 
 
 def test_decide_leq_counterexample():
-    verdict = decide_leq(parse("x"), parse("half(x)"))
+    verdict = decide(parse("x"), parse("half(x)"), "leq")
     assert isinstance(verdict, Counterexample)
     assert not verdict.lhs_value <= verdict.rhs_value
 
 
 def test_decide_halving_below_family():
     for n in (1, 2, 3):
-        assert isinstance(decide_leq(parse(f"halfn({n}, x)"), parse("x")), Valid)
+        assert isinstance(decide(parse(f"halfn({n}, x)"), parse("x"), "leq"), Valid)
 
 
 def test_verdict_class_symmetry():
@@ -522,14 +526,14 @@ def test_verdict_class_symmetry():
     for law in laws:
         if law.relation != "eq":
             continue
-        a = decide_eq(law.lhs, law.rhs)
-        b = decide_eq(law.rhs, law.lhs)
+        a = decide(law.lhs, law.rhs, "eq")
+        b = decide(law.rhs, law.lhs, "eq")
         assert type(a) is type(b)
 
 
 def test_budget_exhaustion_returns_limit():
     lhs = parse("oplus(oplus(oplus(x, y), z), w)")
-    verdict = decide_eq(lhs, parse("x"), budget=3)
+    verdict = decide(lhs, parse("x"), "eq", budget=3)
     assert isinstance(verdict, LimitExceeded)
     assert verdict.report.budget == 3
 

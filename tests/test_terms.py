@@ -42,7 +42,7 @@ from mvdelta.terms import (
     print_term,
 )
 from mvdelta import corpus
-from oracles import evaluate_by_recursion, parse_by_recursion, parse_equation_by_recursion
+from oracles import evaluate_by_recursion, expand_by_recursion, parse_by_recursion, parse_equation_by_recursion
 
 
 def test_parse_basic_structure():
@@ -355,8 +355,9 @@ def test_evaluate_core_agrees_with_recursive_oracle(t, spec, picks, bind_z):
 _OPCODES = {"VAR", "CONST", "NEG", "OPLUS", "DELTA", "NFOLD", "HALFN"}
 
 
-def _opcode_uses(path) -> list[str]:
-    """Every import or reference of an opcode name in one source file."""
+def _opcode_uses(path, wanted=_OPCODES) -> list[str]:
+    """Every import or reference of a wanted name, by default an opcode,
+    in one source file."""
     uses = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
@@ -367,7 +368,7 @@ def _opcode_uses(path) -> list[str]:
             names = [node.id]
         else:
             continue
-        uses += [f"{path.name}:{node.lineno} {name}" for name in names if name in _OPCODES]
+        uses += [f"{path.name}:{node.lineno} {name}" for name in names if name in wanted]
     return uses
 
 
@@ -381,6 +382,14 @@ def test_only_terms_reads_opcodes():
     assert outside == []
 
 
+def test_only_terms_references_expand():
+    # The library compiles sugar directly; expand is for callers outside
+    # it.  The package's __init__ only re-exports it.
+    src = pathlib.Path(mvdelta.__file__).parent
+    others = [path for path in sorted(src.glob("*.py")) if path.name not in ("terms.py", "__init__.py")]
+    assert [use for path in others for use in _opcode_uses(path, {"expand"})] == []
+
+
 def test_program_vars_are_sorted_and_distinct():
     code, _, _ = compile_core((expand(parse("oplus(y, join(x, y))")), expand(parse("nfold(3, z)"))))
     assert program_vars(code) == ["x", "y", "z"]
@@ -388,10 +397,11 @@ def test_program_vars_are_sorted_and_distinct():
     assert program_vars(code) == []
 
 
-# compile_core's instruction lists, pinned for the sugar templates whose
-# expansions share children: the slot order is the order of a recursive
-# evaluation with equal instructions merged, and the decider's pieces,
-# hence its witnesses, follow it.
+# compile_core's instruction lists, pinned for the expanded sugar whose
+# core form shares children: the slot order is the order of a recursive
+# evaluation with equal instructions merged.  The decider's pieces, hence
+# its witnesses, follow the operands of each instruction, not the slot
+# order, so a sugar node compiled directly gives the same pieces.
 _X, _Y, _Z = (VAR, "x", None), (VAR, "y", None), (VAR, "z", None)
 _PINNED_PROGRAMS = {
     "join(x, y)": ([_X, (NEG, 0, None), _Y, (OPLUS, 1, 2), (NEG, 3, None), (OPLUS, 4, 2)], 0),
@@ -416,6 +426,29 @@ def test_compile_core_emits_the_pinned_program(text):
     assert compile_core((expand(parse(text)),)) == (code, [len(code) - 1], depth)
 
 
+def test_compile_core_lowers_sugar_after_its_arguments():
+    # join(x, y) = oplus(neg(oplus(neg(x), y)), y), emitted once x and y are.
+    code = [_X, _Y, (NEG, 0, None), (OPLUS, 2, 1), (NEG, 3, None), (OPLUS, 4, 1)]
+    assert compile_core((parse("join(x, y)"),)) == (code, [5], 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    term_strategy,
+    st.sampled_from(sorted(_CARRIER_ELEMENTS)),
+    st.lists(st.integers(0, 4), min_size=5, max_size=5),
+)
+def test_sugar_lowers_as_the_recursive_templates(t, spec, picks):
+    # Pick 4 leaves a variable unbound.
+    assert expand(t) == expand_by_recursion(t)
+    carrier = carrier_from_spec(spec)
+    elements = _CARRIER_ELEMENTS[spec]
+    env = {v: carrier.parse_element(elements[k]) for v, k in zip(["x", "y", "z", "a1", "b_2"], picks) if k < 4}
+    assert _outcome(evaluate_core, t, env, carrier) == _outcome(
+        evaluate_by_recursion, expand_by_recursion(t), env, carrier
+    )
+
+
 def test_compile_core_shares_slots_across_roots():
     lhs, rhs = expand(parse("join(x, y)")), expand(parse("meet(y, x)"))
     code, slots, depth = compile_core((lhs, rhs))
@@ -427,15 +460,13 @@ def test_compile_core_shares_slots_across_roots():
 
 def test_expand_keeps_a_core_term_and_rebuilds_only_above_sugar():
     core = expand(parse("oplus(neg(x), delta(halfn(2, y), nfold(3, x); 1/2))"))
-    assert expand(core) is core
+    assert expand(core) == core
     t = parse("oplus(neg(x), half(y))")
     out = expand(t)
-    assert out.left is t.left and out != t
+    assert out.left == t.left and out != t
     assert out == Oplus(Neg(Var("x")), Delta(EvSeq((Var("y"),), Const(ZERO))))
 
 
 def test_walks_refuse_a_non_term_with_the_same_texts():
     with pytest.raises(TypeError, match=r"^not a term: 'x'$"):
         expand(Neg("x"))
-    with pytest.raises(TypeError, match=r"^term not in core form \(call expand first\): Half"):
-        compile_core((Half(Var("x")),))
